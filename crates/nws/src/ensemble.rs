@@ -4,8 +4,17 @@
 //! This is the method the Network Weather Service uses to stay accurate
 //! across wildly different signal regimes (stable LAN bandwidth vs. bursty
 //! CPU availability) without per-signal tuning.
-
-use crate::predictors::{standard_battery, Predictor};
+//!
+//! The battery is fused into one concrete state machine: one ring of the
+//! last 51 samples feeds three windows kept sorted under
+//! [`f64::total_cmp`] (k = 5, 21, 51; the k = 21 window serves both the
+//! median and the trimmed mean), three sliding sums, the running mean and
+//! the three exponential smoothers. [`Ensemble::update`] computes the
+//! twelve predictions and the winner once and caches them, so queries are
+//! O(1) reads and nothing allocates or sorts per call. Every floating-point
+//! operation repeats the reference predictors' in [`crate::predictors`] in
+//! value and order, so every forecast is bit-identical to replaying
+//! [`crate::predictors::standard_battery`] (`tests/prop_fused_battery.rs`).
 
 /// Forecast plus uncertainty information.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,14 +27,94 @@ pub struct Forecast {
     pub predictor: String,
 }
 
-struct Tracked {
-    predictor: Box<dyn Predictor + Send + Sync>,
-    abs_err_sum: f64,
-    sq_err_sum: f64,
-    n_scored: u64,
+/// Number of predictors in the standard battery.
+pub const BATTERY_LEN: usize = 12;
+
+/// Names of the standard battery's predictors, in battery order — exactly
+/// the `Predictor::name()` strings of [`crate::predictors::standard_battery`].
+pub const PREDICTOR_NAMES: [&str; BATTERY_LEN] = [
+    "last_value",
+    "running_mean",
+    "sliding_mean(5)",
+    "sliding_mean(21)",
+    "sliding_mean(51)",
+    "sliding_median(5)",
+    "sliding_median(21)",
+    "sliding_median(51)",
+    "exp_smoothing(0.05)",
+    "exp_smoothing(0.2)",
+    "exp_smoothing(0.5)",
+    "trimmed_mean(21,3)",
+];
+
+/// Sliding-window lengths shared by the means and the medians.
+const WINDOWS: [usize; 3] = [5, 21, 51];
+/// Smoothing factors of the three exponential smoothers.
+const ALPHAS: [f64; 3] = [0.05, 0.2, 0.5];
+/// Samples trimmed from each tail of the k = 21 window by the trimmed mean.
+const TRIM: usize = 3;
+/// Ring length: the longest window.
+const RING: usize = WINDOWS[2];
+
+/// The last `min(n, K)` samples in ascending [`f64::total_cmp`] order.
+///
+/// `total_cmp` calls two values equal only when their bit patterns are
+/// identical, so the sorted contents are exactly the slice the reference
+/// predictors get by copying and sorting their window.
+struct SortedWindow<const K: usize> {
+    v: [f64; K],
+    len: usize,
 }
 
-/// An ensemble forecaster with NWS-style dynamic predictor selection.
+impl<const K: usize> SortedWindow<K> {
+    const EMPTY: Self = SortedWindow {
+        v: [0.0; K],
+        len: 0,
+    };
+
+    fn sorted(&self) -> &[f64] {
+        &self.v[..self.len]
+    }
+
+    fn position(&self, x: f64) -> Result<usize, usize> {
+        self.sorted().binary_search_by(|y| y.total_cmp(&x))
+    }
+
+    /// Drop the sample leaving the window (if it is full), then insert
+    /// the new one; both by binary search.
+    fn slide(&mut self, leaving: Option<f64>, x: f64) {
+        if let Some(out) = leaving {
+            let i = self.position(out).expect("leaving sample is in its window");
+            self.v.copy_within(i + 1..self.len, i);
+            self.len -= 1;
+        }
+        let i = self.position(x).unwrap_or_else(|i| i);
+        self.v.copy_within(i..self.len, i + 1);
+        self.v[i] = x;
+        self.len += 1;
+    }
+
+    /// `SlidingMedian::predict`'s expression over the same sorted slice.
+    fn median(&self) -> f64 {
+        let (v, n) = (self.sorted(), self.len);
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        }
+    }
+
+    /// `TrimmedMean::predict`'s expression over the same sorted slice.
+    fn trimmed_mean(&self, trim: usize) -> f64 {
+        let v = self.sorted();
+        let t = if v.len() > 2 * trim { trim } else { 0 };
+        let kept = &v[t..v.len() - t];
+        kept.iter().sum::<f64>() / kept.len() as f64
+    }
+}
+
+/// An ensemble forecaster with NWS-style dynamic predictor selection over
+/// the standard battery.
 ///
 /// ```
 /// use grads_nws::ensemble::Ensemble;
@@ -37,131 +126,185 @@ struct Tracked {
 /// assert!((f.value - 10.0).abs() < 1.0);
 /// ```
 pub struct Ensemble {
-    tracked: Vec<Tracked>,
-    n_updates: u64,
-    last: Option<f64>,
+    /// Measurements absorbed; sample `i` lives at `ring[i % RING]`.
+    n: u64,
+    ring: [f64; RING],
+    w5: SortedWindow<5>,
+    w21: SortedWindow<21>,
+    w51: SortedWindow<51>,
+    /// Sliding sums of the three windows, in [`WINDOWS`] order.
+    window_sums: [f64; 3],
+    running_sum: f64,
+    /// Exponential smoother states, in [`ALPHAS`] order.
+    smoothed: [f64; 3],
+    /// Every predictor's forecast of the next measurement, battery order.
+    preds: [f64; BATTERY_LEN],
+    abs_err: [f64; BATTERY_LEN],
+    sq_err: [f64; BATTERY_LEN],
+    /// Battery index of the current winner and its mean absolute error.
+    winner: usize,
+    winner_mae: f64,
+}
+
+impl Default for Ensemble {
+    fn default() -> Self {
+        Self::standard()
+    }
 }
 
 impl Ensemble {
     /// Ensemble over the standard NWS predictor battery.
     pub fn standard() -> Self {
-        Self::new(standard_battery())
-    }
-
-    /// Ensemble over a custom predictor set.
-    pub fn new(predictors: Vec<Box<dyn Predictor + Send + Sync>>) -> Self {
-        assert!(!predictors.is_empty(), "ensemble needs predictors");
         Ensemble {
-            tracked: predictors
-                .into_iter()
-                .map(|p| Tracked {
-                    predictor: p,
-                    abs_err_sum: 0.0,
-                    sq_err_sum: 0.0,
-                    n_scored: 0,
-                })
-                .collect(),
-            n_updates: 0,
-            last: None,
+            n: 0,
+            ring: [0.0; RING],
+            w5: SortedWindow::EMPTY,
+            w21: SortedWindow::EMPTY,
+            w51: SortedWindow::EMPTY,
+            window_sums: [0.0; 3],
+            running_sum: 0.0,
+            smoothed: [0.0; 3],
+            preds: [0.0; BATTERY_LEN],
+            abs_err: [0.0; BATTERY_LEN],
+            sq_err: [0.0; BATTERY_LEN],
+            winner: 0,
+            winner_mae: f64::INFINITY,
         }
     }
 
     /// Feed one measurement: score every predictor's outstanding forecast
-    /// against it, then let every predictor absorb it.
+    /// against it, let every predictor absorb it, then cache the new
+    /// forecasts and the winner.
     pub fn update(&mut self, value: f64) {
-        for t in &mut self.tracked {
-            if let Some(pred) = t.predictor.predict() {
-                let e = pred - value;
-                t.abs_err_sum += e.abs();
-                t.sq_err_sum += e * e;
-                t.n_scored += 1;
+        if self.n > 0 {
+            for i in 0..BATTERY_LEN {
+                let e = self.preds[i] - value;
+                self.abs_err[i] += e.abs();
+                self.sq_err[i] += e * e;
             }
-            t.predictor.update(value);
         }
-        self.n_updates += 1;
-        self.last = Some(value);
+
+        // The samples leaving each window, read before the ring slot of
+        // the oldest one is overwritten.
+        let n = self.n as usize;
+        let leaving = WINDOWS.map(|k| (n >= k).then(|| self.ring[(n - k) % RING]));
+        // Push-and-add, then pop-and-subtract, as `SlidingMean::update`.
+        for (sum, out) in self.window_sums.iter_mut().zip(leaving) {
+            *sum += value;
+            if let Some(out) = out {
+                *sum -= out;
+            }
+        }
+        self.w5.slide(leaving[0], value);
+        self.w21.slide(leaving[1], value);
+        self.w51.slide(leaving[2], value);
+        self.ring[n % RING] = value;
+        self.running_sum += value;
+        for (s, &alpha) in self.smoothed.iter_mut().zip(&ALPHAS) {
+            *s = if n == 0 {
+                value
+            } else {
+                alpha * value + (1.0 - alpha) * *s
+            };
+        }
+        self.n += 1;
+
+        let p = &mut self.preds;
+        p[0] = value;
+        p[1] = self.running_sum / self.n as f64;
+        for (j, &k) in WINDOWS.iter().enumerate() {
+            p[2 + j] = self.window_sums[j] / (n + 1).min(k) as f64;
+        }
+        p[5] = self.w5.median();
+        p[6] = self.w21.median();
+        p[7] = self.w51.median();
+        p[8..11].copy_from_slice(&self.smoothed);
+        p[11] = self.w21.trimmed_mean(TRIM);
+
+        // Lowest MAE wins; ties (and `mae >= best`) keep the earlier entry.
+        let mut best: Option<(f64, usize)> = None;
+        for i in 0..BATTERY_LEN {
+            let mae = self.mae(i).unwrap_or(f64::INFINITY);
+            match best {
+                Some((bmae, _)) if mae >= bmae => {}
+                _ => best = Some((mae, i)),
+            }
+        }
+        (self.winner_mae, self.winner) = best.expect("battery is non-empty");
+    }
+
+    /// Forecasts scored so far per predictor: every predictor forecasts
+    /// from the first measurement on, so all are scored on every later one.
+    fn n_scored(&self) -> u64 {
+        self.n.saturating_sub(1)
+    }
+
+    /// Mean absolute error of battery entry `i`; `None` while unscored.
+    fn mae(&self, i: usize) -> Option<f64> {
+        let n = self.n_scored();
+        (n > 0).then(|| self.abs_err[i] / n as f64)
     }
 
     /// Number of measurements absorbed.
     pub fn len(&self) -> u64 {
-        self.n_updates
+        self.n
     }
 
     /// True if no measurements have been absorbed yet.
     pub fn is_empty(&self) -> bool {
-        self.n_updates == 0
+        self.n == 0
     }
 
     /// Most recent raw measurement.
     pub fn last_measurement(&self) -> Option<f64> {
-        self.last
+        (self.n > 0).then(|| self.preds[0])
     }
 
-    /// [`Ensemble::forecast`]'s value alone, skipping the predictor-name
-    /// allocation — the same winning predictor by the same tie rule, so
-    /// the returned value is bit-identical to `forecast().value`. This is
-    /// the per-observation fast path of the delta-capture dirty check in
-    /// [`crate::monitor::NwsService`].
+    /// Every predictor's current forecast of the next measurement, in
+    /// [`PREDICTOR_NAMES`] order. `None` until a measurement has arrived.
+    pub fn predictions(&self) -> Option<&[f64; BATTERY_LEN]> {
+        (self.n > 0).then_some(&self.preds)
+    }
+
+    /// [`Ensemble::forecast`]'s value alone, without building the
+    /// predictor-name `String`: a cached read, bit-identical to
+    /// `forecast().value`. This is what every query path reads.
     pub fn forecast_value(&self) -> Option<f64> {
-        let mut best: Option<(f64, f64)> = None; // (mae, predicted)
-        for t in &self.tracked {
-            let Some(pred) = t.predictor.predict() else {
-                continue;
-            };
-            let mae = if t.n_scored > 0 {
-                t.abs_err_sum / t.n_scored as f64
-            } else {
-                f64::INFINITY
-            };
-            match best {
-                Some((bmae, _)) if mae >= bmae => {}
-                _ => best = Some((mae, pred)),
-            }
-        }
-        best.map(|(_, v)| v)
+        (self.n > 0).then(|| self.preds[self.winner])
     }
 
     /// Forecast the next value using the predictor with the lowest mean
     /// absolute error so far. Ties break toward the earlier battery entry
     /// (deterministic). `None` until at least one measurement has arrived.
     pub fn forecast(&self) -> Option<Forecast> {
-        let mut best: Option<(f64, &Tracked, f64)> = None;
-        for t in &self.tracked {
-            let Some(pred) = t.predictor.predict() else {
-                continue;
-            };
-            let mae = if t.n_scored > 0 {
-                t.abs_err_sum / t.n_scored as f64
+        (self.n > 0).then(|| Forecast {
+            value: self.preds[self.winner],
+            mae: if self.winner_mae.is_finite() {
+                self.winner_mae
             } else {
-                f64::INFINITY
-            };
-            match best {
-                Some((bmae, _, _)) if mae >= bmae => {}
-                _ => best = Some((mae, t, pred)),
-            }
-        }
-        best.map(|(mae, t, pred)| Forecast {
-            value: pred,
-            mae: if mae.is_finite() { mae } else { 0.0 },
-            predictor: t.predictor.name(),
+                0.0
+            },
+            predictor: PREDICTOR_NAMES[self.winner].to_string(),
         })
     }
 
     /// Per-predictor `(name, mae, rmse)` diagnostics. Predictors that have
     /// not been scored yet report `NaN`.
     pub fn scores(&self) -> Vec<(String, f64, f64)> {
-        self.tracked
+        let n = self.n_scored();
+        PREDICTOR_NAMES
             .iter()
-            .map(|t| {
-                let (mae, rmse) = if t.n_scored > 0 {
+            .enumerate()
+            .map(|(i, name)| {
+                let (mae, rmse) = if n > 0 {
                     (
-                        t.abs_err_sum / t.n_scored as f64,
-                        (t.sq_err_sum / t.n_scored as f64).sqrt(),
+                        self.abs_err[i] / n as f64,
+                        (self.sq_err[i] / n as f64).sqrt(),
                     )
                 } else {
                     (f64::NAN, f64::NAN)
                 };
-                (t.predictor.name(), mae, rmse)
+                (name.to_string(), mae, rmse)
             })
             .collect()
     }
@@ -175,6 +318,9 @@ mod tests {
     fn empty_ensemble_has_no_forecast() {
         let e = Ensemble::standard();
         assert!(e.forecast().is_none());
+        assert!(e.forecast_value().is_none());
+        assert!(e.predictions().is_none());
+        assert!(e.last_measurement().is_none());
         assert!(e.is_empty());
     }
 
@@ -254,6 +400,30 @@ mod tests {
             let full = e.forecast().unwrap().value;
             let fast = e.forecast_value().unwrap();
             assert_eq!(full.to_bits(), fast.to_bits(), "step {i}");
+        }
+    }
+
+    /// The sorted windows hold exactly the last `k` samples, sorted, as
+    /// the series crosses every window length.
+    #[test]
+    fn sorted_windows_track_the_ring() {
+        let mut e = Ensemble::standard();
+        let mut hist = Vec::new();
+        for i in 0..140u32 {
+            let v = ((i.wrapping_mul(2654435761) >> 7) % 13) as f64 - 6.0;
+            let v = if v == 0.0 && i % 2 == 0 { -0.0 } else { v };
+            e.update(v);
+            hist.push(v);
+            for (k, got) in [
+                (5, e.w5.sorted()),
+                (21, e.w21.sorted()),
+                (51, e.w51.sorted()),
+            ] {
+                let mut want: Vec<f64> = hist.iter().rev().take(k).copied().collect();
+                want.sort_by(f64::total_cmp);
+                let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&want), "k={k} step {i}");
+            }
         }
     }
 

@@ -84,11 +84,16 @@ impl DeltaTrack {
 }
 
 /// The weather service: stores measurement streams and serves forecasts.
+///
+/// Each series' [`Ensemble`] is boxed so the hash tables hold
+/// pointer-sized values: an inline battery (about 1.4 KB of windows)
+/// would be copied on every rehash, and the tables' spare capacity would
+/// be held at full size.
 #[derive(Default)]
 pub struct NwsService {
-    cpu: HashMap<HostId, Ensemble>,
-    bandwidth: HashMap<(ClusterId, ClusterId), Ensemble>,
-    latency: HashMap<(ClusterId, ClusterId), Ensemble>,
+    cpu: HashMap<HostId, Box<Ensemble>>,
+    bandwidth: HashMap<(ClusterId, ClusterId), Box<Ensemble>>,
+    latency: HashMap<(ClusterId, ClusterId), Box<Ensemble>>,
     heartbeat: HashMap<HostId, f64>,
     /// Delta-capture tracking; `None` (the default) keeps every
     /// observation on the exact seed code path with zero overhead.
@@ -101,10 +106,15 @@ impl NwsService {
         Self::default()
     }
 
-    /// Record a CPU availability measurement in `[0, 1]` for a host
-    /// (fraction of one core's peak rate a new process would obtain).
+    /// Record a CPU availability measurement for a host (fraction of one
+    /// core's peak rate a new process would obtain), clamped to `[0, 1]`.
+    /// A non-finite measurement (NaN, ±∞) is ignored: it would poison the
+    /// running mean and every later forecast of the host.
     pub fn observe_cpu(&mut self, host: HostId, availability: f64) {
-        let e = self.cpu.entry(host).or_insert_with(Ensemble::standard);
+        if !availability.is_finite() {
+            return;
+        }
+        let e = self.cpu.entry(host).or_default();
         e.update(availability.clamp(0.0, 1.0));
         if let Some(t) = &mut self.track {
             let bits = e.forecast_value().expect("just updated").to_bits();
@@ -119,10 +129,15 @@ impl NwsService {
         }
     }
 
-    /// Record an achieved end-to-end bandwidth (bytes/s) between two sites.
+    /// Record an achieved end-to-end bandwidth (bytes/s) between two
+    /// sites; negative values count as 0. A non-finite measurement is
+    /// ignored.
     pub fn observe_bandwidth(&mut self, a: ClusterId, b: ClusterId, bytes_per_s: f64) {
+        if !bytes_per_s.is_finite() {
+            return;
+        }
         let p = pair(a, b);
-        let e = self.bandwidth.entry(p).or_insert_with(Ensemble::standard);
+        let e = self.bandwidth.entry(p).or_default();
         e.update(bytes_per_s.max(0.0));
         if let Some(t) = &mut self.track {
             let bits = e.forecast_value().expect("just updated").to_bits();
@@ -137,10 +152,14 @@ impl NwsService {
         }
     }
 
-    /// Record a measured one-way latency (seconds) between two sites.
+    /// Record a measured one-way latency (seconds) between two sites;
+    /// negative values count as 0. A non-finite measurement is ignored.
     pub fn observe_latency(&mut self, a: ClusterId, b: ClusterId, seconds: f64) {
+        if !seconds.is_finite() {
+            return;
+        }
         let p = pair(a, b);
-        let e = self.latency.entry(p).or_insert_with(Ensemble::standard);
+        let e = self.latency.entry(p).or_default();
         e.update(seconds.max(0.0));
         if let Some(t) = &mut self.track {
             let bits = e.forecast_value().expect("just updated").to_bits();
@@ -259,9 +278,9 @@ impl NwsService {
         self.heartbeat.get(&host).copied()
     }
 
-    /// Hosts whose sensors have reported within `max_age` of `now`
-    /// (never-reporting hosts are excluded once any heartbeat exists for
-    /// them... they are excluded always: no heartbeat, no liveness proof).
+    /// Hosts whose sensors have reported within `max_age` of `now`,
+    /// ascending. A host that has never sent a heartbeat is never live:
+    /// no heartbeat, no proof of liveness.
     pub fn live_hosts(&self, now: f64, max_age: f64) -> Vec<HostId> {
         let mut hs: Vec<HostId> = self
             .heartbeat
@@ -280,7 +299,10 @@ impl NwsService {
 
     /// Forecast CPU availability, assuming an unmeasured host is idle.
     pub fn forecast_cpu_or_idle(&self, host: HostId) -> f64 {
-        self.forecast_cpu(host).map(|f| f.value).unwrap_or(1.0)
+        self.cpu
+            .get(&host)
+            .and_then(|e| e.forecast_value())
+            .unwrap_or(1.0)
     }
 
     /// Forecast bandwidth between two sites; `None` if never measured.
@@ -291,6 +313,20 @@ impl NwsService {
     /// Forecast latency between two sites; `None` if never measured.
     pub fn forecast_latency(&self, a: ClusterId, b: ClusterId) -> Option<Forecast> {
         self.latency.get(&pair(a, b)).and_then(|e| e.forecast())
+    }
+
+    /// [`NwsService::forecast_bandwidth`]'s value alone.
+    pub(crate) fn bandwidth_value(&self, a: ClusterId, b: ClusterId) -> Option<f64> {
+        self.bandwidth
+            .get(&pair(a, b))
+            .and_then(|e| e.forecast_value())
+    }
+
+    /// [`NwsService::forecast_latency`]'s value alone.
+    pub(crate) fn latency_value(&self, a: ClusterId, b: ClusterId) -> Option<f64> {
+        self.latency
+            .get(&pair(a, b))
+            .and_then(|e| e.forecast_value())
     }
 
     /// Effective compute rate (flop/s) a single new process would see on a
@@ -317,15 +353,8 @@ impl NwsService {
             .iter()
             .map(|&l| grid.link(l).bandwidth)
             .fold(f64::INFINITY, f64::min);
-        let bw = self
-            .forecast_bandwidth(sc, dc)
-            .map(|f| f.value)
-            .unwrap_or(static_bw)
-            .max(1.0);
-        let lat = self
-            .forecast_latency(sc, dc)
-            .map(|f| f.value)
-            .unwrap_or(route.latency);
+        let bw = self.bandwidth_value(sc, dc).unwrap_or(static_bw).max(1.0);
+        let lat = self.latency_value(sc, dc).unwrap_or(route.latency);
         lat + bytes / bw
     }
 }
@@ -497,6 +526,46 @@ mod tests {
             s.observe_cpu(HostId(0), 0.5);
         }
         assert!((s.effective_speed(&g, HostId(0)) - 50.0).abs() < 1e-9);
+    }
+
+    /// Non-finite measurements never enter a series: the forecast bits
+    /// and the delta-tracking dirty sets stay exactly as they were, and an
+    /// unmeasured series stays unmeasured.
+    #[test]
+    fn non_finite_observations_are_ignored() {
+        let (x, y) = (ClusterId(0), ClusterId(1));
+        let mut s = NwsService::new();
+        s.enable_delta_tracking();
+        for i in 0..30 {
+            s.observe_cpu(HostId(0), 0.4 + 0.01 * (i % 4) as f64);
+            s.observe_bandwidth(x, y, 2e5 + 1e3 * (i % 3) as f64);
+            s.observe_latency(x, y, 0.02 + 0.001 * (i % 5) as f64);
+        }
+        let g = grid2();
+        let _ = crate::ForecastSnapshot::capture_sync(&g, &mut s);
+        s.observe_cpu(HostId(0), 0.9);
+        let bits = |s: &NwsService| {
+            (
+                s.forecast_cpu(HostId(0)).unwrap().value.to_bits(),
+                s.forecast_bandwidth(x, y).unwrap().value.to_bits(),
+                s.forecast_latency(x, y).unwrap().value.to_bits(),
+            )
+        };
+        let before = bits(&s);
+        let dirty_before = (s.dirty_hosts(), s.has_dirty_network());
+        assert_eq!(dirty_before, (vec![HostId(0)], false));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            s.observe_cpu(HostId(0), bad);
+            s.observe_cpu(HostId(1), bad);
+            s.observe_bandwidth(x, y, bad);
+            s.observe_latency(y, x, bad);
+            assert_eq!(bits(&s), before, "{bad} moved a forecast");
+            assert_eq!((s.dirty_hosts(), s.has_dirty_network()), dirty_before);
+            assert!(
+                s.forecast_cpu(HostId(1)).is_none(),
+                "{bad} created a series"
+            );
+        }
     }
 
     #[test]

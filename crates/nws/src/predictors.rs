@@ -2,11 +2,17 @@
 //! Weather Service.
 //!
 //! Each predictor consumes measurements one at a time and offers a one-step-
-//! ahead forecast. None of them is best for every signal; the
-//! [`crate::ensemble`] module runs them all and dynamically selects whichever
-//! has the lowest historical error — the NWS "dynamic predictor selection"
-//! method the GrADS scheduler and rescheduler rely on for `dcost` estimates
-//! and resource forecasts.
+//! ahead forecast. None of them is best for every signal; dynamic predictor
+//! selection runs them all and picks whichever has the lowest historical
+//! error — the NWS method the GrADS scheduler and rescheduler rely on for
+//! `dcost` estimates and resource forecasts.
+//!
+//! These types are the **reference oracle**: straightforward, one struct
+//! per predictor, re-sorting their windows on every `predict()`. The
+//! production forecaster, [`crate::ensemble::Ensemble`], fuses
+//! [`standard_battery`] into one allocation-free state machine whose every
+//! prediction is bit-identical to these (`tests/prop_fused_battery.rs`
+//! replays them side by side).
 
 use std::collections::VecDeque;
 
@@ -215,9 +221,9 @@ impl Predictor for TrimmedMean {
     }
 }
 
-/// The standard NWS-style predictor battery used by [`crate::ensemble`].
-/// (`Sync` so forecast state can be shared read-only across scheduler
-/// worker threads, e.g. by the parallel candidate scorer.)
+/// The standard NWS-style predictor battery, in the order
+/// [`crate::ensemble::PREDICTOR_NAMES`] lists it: the reference that the
+/// fused [`crate::ensemble::Ensemble`] reproduces bit for bit.
 pub fn standard_battery() -> Vec<Box<dyn Predictor + Send + Sync>> {
     vec![
         Box::new(LastValue::default()),

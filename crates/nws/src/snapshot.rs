@@ -1,11 +1,11 @@
 //! Dense per-epoch forecast snapshots for the scheduler's hot loop.
 //!
-//! [`NwsService::effective_speed`] runs the whole ensemble battery —
-//! twelve predictors, three of which sort a sliding window — on every
-//! call. The reference decision path calls it inside every sort
-//! comparator and every predictor evaluation, so one scheduling pass over
-//! `H` hosts pays `O(H log H + H·K)` ensemble forecasts for `K` candidate
-//! prefixes. A [`ForecastSnapshot`] pays the forecast cost **once per
+//! [`NwsService::effective_speed`] reads a forecast the host's ensemble
+//! cached when it last absorbed a measurement, but each call still pays a
+//! hash lookup and a `grid` round trip. The reference decision path calls
+//! it inside every sort comparator and every predictor evaluation, so one
+//! scheduling pass over `H` hosts pays `O(H log H + H·K)` such lookups for
+//! `K` candidate prefixes. A [`ForecastSnapshot`] pays them **once per
 //! host and once per cluster pair** at capture time and then answers
 //! every query from a dense array, turning the per-candidate cost into a
 //! couple of loads.
@@ -50,7 +50,7 @@ impl ForecastSource for NwsService {
 
 /// Densely cached forecasts for one decision epoch.
 ///
-/// Capture is `O(hosts + cluster_pairs)` ensemble forecasts; every query
+/// Capture is `O(hosts + cluster_pairs)` cached-forecast reads; every query
 /// afterwards is an array load. See the module docs for the equivalence
 /// contract.
 #[derive(Debug, Clone)]
@@ -78,12 +78,8 @@ impl ForecastSnapshot {
         for a in 0..nc as u32 {
             for b in a..nc as u32 {
                 let i = a as usize * nc + b as usize;
-                bandwidth[i] = nws
-                    .forecast_bandwidth(ClusterId(a), ClusterId(b))
-                    .map(|f| f.value);
-                latency[i] = nws
-                    .forecast_latency(ClusterId(a), ClusterId(b))
-                    .map(|f| f.value);
+                bandwidth[i] = nws.bandwidth_value(ClusterId(a), ClusterId(b));
+                latency[i] = nws.latency_value(ClusterId(a), ClusterId(b));
             }
         }
         ForecastSnapshot {
@@ -119,7 +115,7 @@ impl ForecastSnapshot {
     /// that baseline. Cost is `O(dirty)` forecast-bit lookups (the
     /// forecasts themselves were already computed at observation time)
     /// plus an `O(hosts)` memcpy, instead of `O(hosts + cluster_pairs)`
-    /// ensemble batteries.
+    /// hash lookups.
     ///
     /// **Bit-identity argument** (pinned by `tests/prop_delta_capture.rs`
     /// and the unit suite): a clean series' ensemble serves bitwise the
