@@ -1,17 +1,24 @@
 //! Wall-clock microbenchmarks of the emulator substrate's hot paths.
 //!
-//! Four storms, each isolating one layer of the kernel:
+//! Four storms, each isolating one layer of the kernel, and a wait-policy
+//! sweep:
 //!
-//! * **handoff ping-pong** — one process bouncing `ctx.now()` off the
-//!   kernel: one request/grant pair per op and near-zero event-kernel
-//!   work, so this measures the process↔kernel transport and nothing
-//!   else. Run under both transports; the direct single-slot rendezvous
-//!   must beat the seed mpsc-channel pair by ≥2× (asserted).
+//! * **handoff ping-pong** — one process bouncing `ctx.sleep(0.0)` off
+//!   the kernel: the kernel answers it at once and pushes no event, so
+//!   each op is one request/grant pair with near-zero event-kernel work
+//!   and this measures the process↔kernel transport and nothing else.
+//!   (`ctx.now()` no longer reaches the kernel: the clock rides on every
+//!   grant.) Run under both transports; the direct single-slot
+//!   rendezvous must beat the seed mpsc-channel pair by ≥2× (asserted).
 //! * **message ping-pong** — two processes bouncing a message back and
 //!   forth on a LAN. Every round trip is four kernel handoffs plus the
 //!   flow machinery (activate/done events, rate solve, mailbox), so the
 //!   transport win is diluted by DES work the transports share; direct
 //!   must still be ≥1.5× (asserted).
+//! * **wait policy** — the raw handoff ping-pong again under the spin and
+//!   the yield policy. Both apply only to waits the kernel answers at
+//!   once (as `sleep(0.0)` is); a process blocked on a request that takes
+//!   virtual time parks at once under every policy.
 //! * **spawn storm** — thousands of short-lived processes; measures the
 //!   spawn/start/exit bookkeeping (thread creation dominates, but name
 //!   interning and mailbox reclamation show up here too).
@@ -38,19 +45,18 @@ fn lan_pair() -> (Grid, Vec<HostId>) {
     (b.build().unwrap(), hosts)
 }
 
-/// Raw handoff ping-pong: one process performing `n` clock reads, each a
-/// single request/grant round trip with no event-kernel work behind it.
-/// Returns handoffs/sec wall-clock.
+/// Raw handoff ping-pong: one process performing `n` zero-length sleeps,
+/// each a single request/grant round trip that the kernel answers at once
+/// with no event-kernel work behind it. Returns handoffs/sec wall-clock.
 fn handoff_pong(tune: EngineTune, n: usize) -> f64 {
     let (grid, hosts) = lan_pair();
     let mut eng = Engine::new(grid);
     eng.apply_tune(tune);
     eng.spawn("clock", hosts[0], move |ctx| {
-        let mut acc = 0.0;
         for _ in 0..n {
-            acc += ctx.now();
+            ctx.sleep(0.0);
         }
-        assert_eq!(acc, 0.0, "virtual clock never advances here");
+        assert_eq!(ctx.now(), 0.0, "virtual clock never advances here");
     });
     let t0 = Instant::now();
     let report = eng.run();
@@ -195,6 +201,7 @@ fn main() {
     // Spin vs yield on the direct transport's wait loop. The auto policy
     // picks spin on multicore boxes and yield on single-core ones; pinning
     // each explicitly measures what that heuristic is choosing between.
+    // Either applies only to at-once waits, which is all this loop makes.
     // Wait strategy cannot perturb virtual time (it only decides how a
     // blocked thread burns the wait), so no determinism assert is needed —
     // but the end-time check comes free from handoff_pong's asserts.
@@ -208,7 +215,7 @@ fn main() {
     };
     set_wait_policy(WaitPolicy::Auto);
     println!("\nhandoff wait policy (direct transport, {n_handoff} round trips):");
-    println!("  spin (384 iters first)     {ho_spin:>12.0} handoffs/s");
+    println!("  spin (at-once waits)       {ho_spin:>12.0} handoffs/s");
     println!("  yield (sched-friendly)     {ho_yield:>12.0} handoffs/s");
     println!(
         "  faster here: {} ({:.2}x) — auto picks spin iff multicore",

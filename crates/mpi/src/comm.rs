@@ -352,8 +352,8 @@ impl Comm {
 
     /// Enter a collective: bump the nesting depth and, on the outermost
     /// entry of a recording communicator, capture the start time. The
-    /// extra `ctx.now()` is determinism-invisible (`Request::Now` pushes
-    /// no event and burns no sequence number).
+    /// extra `ctx.now()` is determinism-invisible: it is a local load of
+    /// the clock stamped on the last kernel grant and makes no request.
     pub(crate) fn coll_begin(&mut self, ctx: &mut Ctx) -> Option<f64> {
         self.coll_depth += 1;
         (self.coll_depth == 1 && self.rec.is_enabled()).then(|| ctx.now())

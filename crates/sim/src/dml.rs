@@ -26,6 +26,12 @@
 //! Keys inside a cluster block: `hosts`, `speed`, `cores`, `arch`
 //! (`ia32`/`ia64`/anything else), `memory`, `cache`, `link BW LAT`.
 //! Top level: `cluster NAME { ... }` and `connect A B BW LAT`.
+//!
+//! Values must describe a grid that can run: speed and bandwidth are
+//! finite and positive, cores at least one, latency finite and not
+//! negative. Anything else is a [`DmlError::Syntax`] on its line — a zero
+//! speed or bandwidth would leave work there unfinished forever, and a
+//! negative latency would run the clock backward.
 
 use crate::topology::{Arch, Grid, GridBuilder, HostSpec};
 
@@ -74,6 +80,32 @@ fn syntax(line: usize, message: impl Into<String>) -> DmlError {
 fn parse_f64(line: usize, tok: &str, what: &str) -> Result<f64, DmlError> {
     tok.parse::<f64>()
         .map_err(|_| syntax(line, format!("bad {what} {tok:?}")))
+}
+
+/// A speed or bandwidth: finite and strictly positive.
+fn parse_rate(line: usize, tok: &str, what: &str) -> Result<f64, DmlError> {
+    let v = parse_f64(line, tok, what)?;
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(syntax(
+            line,
+            format!("{what} must be finite and positive, got {tok:?}"),
+        ))
+    }
+}
+
+/// A latency: finite and not negative.
+fn parse_latency(line: usize, tok: &str) -> Result<f64, DmlError> {
+    let v = parse_f64(line, tok, "latency")?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(syntax(
+            line,
+            format!("latency must be finite and not negative, got {tok:?}"),
+        ))
+    }
 }
 
 /// Parse a DML-style description into a built [`Grid`].
@@ -126,8 +158,8 @@ pub fn parse_dml(src: &str) -> Result<Grid, DmlError> {
                 };
                 let a = find(toks[1])?;
                 let c = find(toks[2])?;
-                let bw = parse_f64(line_no, toks[3], "bandwidth")?;
-                let lat = parse_f64(line_no, toks[4], "latency")?;
+                let bw = parse_rate(line_no, toks[3], "bandwidth")?;
+                let lat = parse_latency(line_no, toks[4])?;
                 b.connect(ids[a], ids[c], bw, lat);
             }
             (None, other) => {
@@ -156,12 +188,14 @@ pub fn parse_dml(src: &str) -> Result<Grid, DmlError> {
                     );
                 }
                 "speed" if toks.len() == 2 => {
-                    blk.spec.speed = parse_f64(line_no, toks[1], "speed")?;
+                    blk.spec.speed = parse_rate(line_no, toks[1], "speed")?;
                 }
                 "cores" if toks.len() == 2 => {
-                    blk.spec.cores = toks[1]
-                        .parse()
-                        .map_err(|_| syntax(line_no, "bad core count"))?;
+                    blk.spec.cores = match toks[1].parse() {
+                        Ok(0) => return Err(syntax(line_no, "cores must be at least 1")),
+                        Ok(n) => n,
+                        Err(_) => return Err(syntax(line_no, "bad core count")),
+                    };
                 }
                 "arch" if toks.len() == 2 => {
                     blk.spec.arch = match toks[1] {
@@ -178,8 +212,8 @@ pub fn parse_dml(src: &str) -> Result<Grid, DmlError> {
                 }
                 "link" if toks.len() == 3 => {
                     blk.link = Some((
-                        parse_f64(line_no, toks[1], "bandwidth")?,
-                        parse_f64(line_no, toks[2], "latency")?,
+                        parse_rate(line_no, toks[1], "bandwidth")?,
+                        parse_latency(line_no, toks[2])?,
                     ));
                 }
                 other => {
@@ -284,6 +318,77 @@ connect UTK UIUC 4e6 0.030
     fn error_disconnected_topology() {
         let err = parse_dml("cluster A {\n hosts 1\n}\ncluster B {\n hosts 1\n}\n").unwrap_err();
         assert!(matches!(err, DmlError::Topology(_)));
+    }
+
+    /// Parse `src` and require a syntax error on `line` naming `what`.
+    fn rejects(src: &str, line: usize, what: &str) {
+        match parse_dml(src) {
+            Err(DmlError::Syntax { line: l, message }) => {
+                assert_eq!(l, line, "{src:?}: {message}");
+                assert!(message.contains(what), "{src:?}: {message}");
+            }
+            other => panic!("{src:?} must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_zero_speed() {
+        rejects("cluster A {\n hosts 1\n speed 0\n}\n", 3, "speed");
+    }
+
+    #[test]
+    fn error_negative_speed() {
+        rejects("cluster A {\n hosts 1\n speed -5\n}\n", 3, "speed");
+    }
+
+    #[test]
+    fn error_nan_speed() {
+        rejects("cluster A {\n hosts 1\n speed NaN\n}\n", 3, "speed");
+    }
+
+    #[test]
+    fn error_zero_cores() {
+        rejects("cluster A {\n hosts 1\n cores 0\n}\n", 3, "cores");
+    }
+
+    #[test]
+    fn error_zero_link_bandwidth() {
+        rejects("cluster A {\n hosts 2\n link 0 1e-4\n}\n", 3, "bandwidth");
+    }
+
+    #[test]
+    fn error_nan_link_bandwidth() {
+        rejects("cluster A {\n hosts 2\n link NaN 1e-4\n}\n", 3, "bandwidth");
+    }
+
+    #[test]
+    fn error_negative_link_latency() {
+        rejects("cluster A {\n hosts 2\n link 1e9 -1\n}\n", 3, "latency");
+    }
+
+    #[test]
+    fn error_zero_connect_bandwidth() {
+        rejects(
+            "cluster A {\n hosts 1\n}\ncluster B {\n hosts 1\n}\nconnect A B 0 0.01\n",
+            7,
+            "bandwidth",
+        );
+    }
+
+    #[test]
+    fn error_infinite_connect_latency() {
+        rejects(
+            "cluster A {\n hosts 1\n}\ncluster B {\n hosts 1\n}\nconnect A B 1e6 inf\n",
+            7,
+            "latency",
+        );
+    }
+
+    #[test]
+    fn zero_latency_is_accepted() {
+        let g = parse_dml("cluster A {\n hosts 2\n link 1e9 0\n}\n").unwrap();
+        let h = g.hosts_of("A");
+        assert_eq!(g.route(h[0], h[1]).latency, 0.0);
     }
 
     #[test]

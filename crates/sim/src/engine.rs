@@ -338,17 +338,19 @@ enum PState {
 
 /// Kernel-side end of one process's transport.
 enum ProcPort {
-    Channel(Sender<Grant>),
+    Channel(Sender<(Grant, f64)>),
     Direct(Arc<HandoffSlot>),
 }
 
 impl ProcPort {
-    fn send_grant(&self, g: Grant) {
+    /// Send a grant stamped with the kernel's virtual time `now`, which
+    /// the process caches as its clock until its next grant.
+    fn send_grant(&self, g: Grant, now: f64) {
         match self {
             ProcPort::Channel(tx) => {
-                let _ = tx.send(g);
+                let _ = tx.send((g, now));
             }
-            ProcPort::Direct(slot) => slot.send_grant(g),
+            ProcPort::Direct(slot) => slot.send_grant(g, now),
         }
     }
 }
@@ -1228,12 +1230,21 @@ impl Engine {
                     }
                     ProcPort::Direct(slot) => slot.wait_request(),
                 };
+                let at_once = req.answered_at_once();
                 self.handle_request(pid, req);
+                // A process waiting on an at-once request may spin for its
+                // grant; the classification must match what the kernel did.
+                debug_assert!(
+                    !at_once || matches!(self.runnable.front(), Some(&(p, _)) if p == pid),
+                    "request classified as answered at once was not resumed first"
+                );
                 continue;
             }
             if let Some((pid, grant)) = self.runnable.pop_front() {
                 if self.procs[pid.0 as usize].state == PState::Alive {
-                    self.procs[pid.0 as usize].port.send_grant(grant);
+                    // Virtual time cannot move until this process's next
+                    // request is handled, so the stamp stays its clock.
+                    self.procs[pid.0 as usize].port.send_grant(grant, self.now);
                     self.running = Some(pid);
                 }
                 continue;
@@ -1475,11 +1486,11 @@ impl Engine {
             match p.state {
                 PState::Alive => {
                     unfinished.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill);
+                    p.port.send_grant(Grant::Kill, self.now);
                 }
                 PState::Died => {
                     died.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill);
+                    p.port.send_grant(Grant::Kill, self.now);
                 }
                 _ => {}
             }
@@ -2154,7 +2165,6 @@ impl Engine {
 
     fn handle_request(&mut self, pid: ProcId, req: Request) {
         match req {
-            Request::Now => self.resume_first(pid, Grant::Time(self.now)),
             Request::Compute { flops } => {
                 if flops <= 0.0 {
                     self.resume_first(pid, Grant::Unit);
@@ -2595,6 +2605,87 @@ mod tests {
         b.local_link(c, 1e6, 0.01);
         let hs = b.add_hosts(c, 2, &HostSpec::with_speed(100.0));
         (b.build().unwrap(), hs[0], hs[1])
+    }
+
+    /// Every request kind against the at-once classification: the kinds
+    /// the kernel always answers first, and the blocking kinds. Running
+    /// them drives the `debug_assert` in `pump_processes`, which checks
+    /// that each request classified as at-once was resumed first.
+    #[test]
+    fn at_once_classification_matches_the_kernel() {
+        use crate::process::{Request, SendMode};
+        let (g, a, b) = two_host_grid();
+        let key = mail_key(&[9]);
+        let send = |mode| Request::Send {
+            key,
+            dst: b,
+            bytes: 1.0,
+            payload: Box::new(()),
+            mode,
+        };
+        let label: Arc<str> = Arc::from("x");
+        let at_once = [
+            Request::Compute { flops: 0.0 },
+            Request::Compute { flops: -1.0 },
+            Request::Sleep { dt: 0.0 },
+            send(SendMode::Eager),
+            Request::TryRecv { key },
+            Request::Spawn {
+                name: "c".into(),
+                host: a,
+                f: Box::new(|_| {}),
+            },
+            Request::InjectLoad {
+                host: a,
+                amount: 1.0,
+            },
+            Request::RemoveLoad {
+                host: a,
+                amount: 1.0,
+            },
+            Request::Trace { label, value: 0.0 },
+        ];
+        assert!(at_once.iter().all(Request::answered_at_once));
+        let blocking = [
+            Request::Compute { flops: 1.0 },
+            Request::Sleep { dt: 0.5 },
+            send(SendMode::Rendezvous),
+            Request::Recv { key },
+            Request::Transfer { dst: b, bytes: 1.0 },
+            Request::Exit,
+            Request::Panic(String::new()),
+        ];
+        assert!(!blocking.iter().any(Request::answered_at_once));
+
+        for mode in [HandoffMode::Direct, HandoffMode::Channel] {
+            let mut eng = Engine::new(g.clone());
+            eng.set_handoff_mode(mode);
+            let (k1, k2) = (mail_key(&[1]), mail_key(&[2]));
+            eng.spawn("a", a, move |ctx| {
+                ctx.compute(0.0);
+                ctx.sleep(0.0);
+                ctx.isend(k1, b, 10.0, Box::new(()));
+                assert!(ctx.try_recv(k2).is_none());
+                ctx.spawn("child", a, |ctx| ctx.compute(0.0));
+                ctx.inject_load(a, 1.0);
+                ctx.remove_load(a, 1.0);
+                ctx.trace("x", 1.0);
+                ctx.compute(50.0);
+                ctx.sleep(0.5);
+                ctx.send(k2, b, 10.0, Box::new(()));
+                ctx.transfer(b, 10.0);
+            });
+            eng.spawn("b", b, move |ctx| {
+                ctx.sleep(1.0);
+                // Already delivered: answered at once though classified
+                // as blocking (the check runs one way only).
+                let _ = ctx.recv(k1);
+                let _ = ctx.recv(k2);
+            });
+            let r = eng.run();
+            assert_eq!(r.completed.len(), 3, "{mode:?}: {r:?}");
+            assert!(r.failed.is_empty() && r.unfinished.is_empty());
+        }
     }
 
     #[test]

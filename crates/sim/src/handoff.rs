@@ -10,8 +10,8 @@
 //! another wakeup).
 //!
 //! [`HandoffSlot`] replaces the pair with a single-slot rendezvous per
-//! process: one atomic state word, two in-place message cells, and
-//! spin-then-park waiting. No allocation per call, no multiplexer, and
+//! process: one atomic state word, in-place message cells, and
+//! request-aware waiting. No allocation per call, no multiplexer, and
 //! when the peer responds within the spin budget no OS wakeup at all.
 //!
 //! # Protocol
@@ -22,8 +22,10 @@
 //! * the **process** may write the request cell only in `IDLE` (it just
 //!   consumed a grant, or has never run), then publishes `REQ`;
 //! * the **kernel** consumes the request (`REQ → IDLE`), handles it, and
-//!   eventually writes the grant cell and publishes `GRANT`;
-//! * the process consumes the grant (`GRANT → IDLE`) and continues.
+//!   eventually writes the grant cell and the clock cell and publishes
+//!   `GRANT`;
+//! * the process consumes the grant and the clock (`GRANT → IDLE`) and
+//!   continues.
 //!
 //! The one-runnable-process invariant is what makes the two-party slot
 //! sufficient: the kernel never issues a grant to a process that is not
@@ -33,7 +35,18 @@
 //! edge on `state`. Determinism is preserved by construction — the
 //! transport carries the same messages in the same order as the channel
 //! pair, it just carries them faster.
-
+//!
+//! # Waiting
+//!
+//! The kernel waits for a request by spinning (multicore) or yielding
+//! (single core) and then parking: the running process usually answers
+//! within microseconds. A process waits for its grant the same way only
+//! when the kernel answers the request at once
+//! ([`Request::answered_at_once`]). Every other request — a compute or
+//! sleep that takes virtual time, a blocking receive, a rendezvous send,
+//! a transfer, the start gate — parks at once: its grant comes only after
+//! the kernel has run other processes and events, and a thread spinning
+//! for it would only take the CPU from the one thread that has work.
 use crate::process::{Grant, Request};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -49,7 +62,7 @@ const GRANT: u8 = 2;
 
 /// How many times to poll the state word before parking the thread. When
 /// the peer responds within the budget (the common case on unloaded
-/// multicore hosts: the kernel handles most primitives in well under a
+/// multicore hosts: the kernel answers an at-once request in well under a
 /// microsecond) the handoff completes without any OS-level block/wake.
 /// Kept modest so oversubscribed runs — e.g. the parallel sweep runner —
 /// do not burn cores spinning.
@@ -60,8 +73,7 @@ const SPIN: u32 = 384;
 /// yielding hands the core straight to the peer — the only other runnable
 /// thread under the one-runnable-process invariant — so the alternation
 /// usually completes without any futex sleep/wake at all. Bounded so a
-/// genuinely long block (a process parked in `recv` for ages of virtual
-/// time) still ends in a proper park.
+/// genuinely long wait still ends in a proper park.
 const YIELDS: u32 = 32;
 
 /// `true` once we know this machine has more than one CPU. Computed once.
@@ -90,6 +102,12 @@ pub(crate) fn multicore() -> bool {
 /// what is communicated, so any policy yields bit-identical runs. Exposed
 /// so the `sim_hotpath` benchmark can measure spin vs. yield on the same
 /// machine (ROADMAP's "spin path unmeasured" note).
+///
+/// It governs only the short waits: the kernel's wait for the running
+/// process's next request, and a process's wait for the grant of a
+/// request the kernel answers at once (`Request::answered_at_once`).
+/// A process waiting on a blocking request parks without spinning or
+/// yielding under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WaitPolicy {
     /// Spin on multicore machines, yield on single-CPU ones (the default).
@@ -140,6 +158,8 @@ pub(crate) struct HandoffSlot {
     state: AtomicU8,
     req: UnsafeCell<Option<Request>>,
     grant: UnsafeCell<Option<Grant>>,
+    /// The kernel's virtual time at the grant, written beside it.
+    now: UnsafeCell<f64>,
     kernel: KernelThread,
     /// The process's OS thread, set by the kernel right after spawning it
     /// (from `JoinHandle::thread`, so it is available before the thread
@@ -159,6 +179,7 @@ impl HandoffSlot {
             state: AtomicU8::new(IDLE),
             req: UnsafeCell::new(None),
             grant: UnsafeCell::new(None),
+            now: UnsafeCell::new(0.0),
             kernel,
             proc: OnceLock::new(),
         }
@@ -170,28 +191,31 @@ impl HandoffSlot {
         let _ = self.proc.set(t);
     }
 
-    /// Wait until `state` equals `want`: spin (multicore) or yield to the
-    /// peer (single core) per the active [`WaitPolicy`], then park.
+    /// Wait until `state` equals `want`. With `short` set, first spin
+    /// (multicore) or yield to the peer (single core) per the active
+    /// [`WaitPolicy`]; then park.
     #[inline]
-    fn await_state(&self, want: u8) {
-        let spin = match wait_policy() {
-            WaitPolicy::Auto => multicore(),
-            WaitPolicy::Spin => true,
-            WaitPolicy::Yield => false,
-        };
-        if spin {
-            for _ in 0..SPIN {
-                if self.state.load(Ordering::Acquire) == want {
-                    return;
+    fn await_state(&self, want: u8, short: bool) {
+        if short {
+            let spin = match wait_policy() {
+                WaitPolicy::Auto => multicore(),
+                WaitPolicy::Spin => true,
+                WaitPolicy::Yield => false,
+            };
+            if spin {
+                for _ in 0..SPIN {
+                    if self.state.load(Ordering::Acquire) == want {
+                        return;
+                    }
+                    std::hint::spin_loop();
                 }
-                std::hint::spin_loop();
-            }
-        } else {
-            for _ in 0..YIELDS {
-                if self.state.load(Ordering::Acquire) == want {
-                    return;
+            } else {
+                for _ in 0..YIELDS {
+                    if self.state.load(Ordering::Acquire) == want {
+                        return;
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
             }
         }
         while self.state.load(Ordering::Acquire) != want {
@@ -211,19 +235,23 @@ impl HandoffSlot {
         }
     }
 
-    /// Process side: wait for and consume the next grant.
-    pub(crate) fn wait_grant(&self) -> Grant {
-        self.await_state(GRANT);
+    /// Process side: wait for and consume the next grant and the virtual
+    /// time it was issued at. `at_once` says the kernel answers the
+    /// pending request without running anything else, so a short spin or
+    /// yield is worth it; otherwise the thread parks at once.
+    pub(crate) fn wait_grant(&self, at_once: bool) -> (Grant, f64) {
+        self.await_state(GRANT, at_once);
         // SAFETY: state is GRANT, so the kernel has published the grant
-        // and will not touch the cell until the next REQ→IDLE transition.
-        let g = unsafe { (*self.grant.get()).take() }.expect("GRANT state implies a grant");
+        // and the clock and will not touch either cell until the next
+        // REQ→IDLE transition.
+        let (g, now) = unsafe { ((*self.grant.get()).take(), *self.now.get()) };
         self.state.store(IDLE, Ordering::Release);
-        g
+        (g.expect("GRANT state implies a grant"), now)
     }
 
     /// Kernel side: wait for and consume the running process's request.
     pub(crate) fn wait_request(&self) -> Request {
-        self.await_state(REQ);
+        self.await_state(REQ, true);
         // SAFETY: state is REQ, so the process has published the request
         // and is now waiting in `wait_grant`.
         let r = unsafe { (*self.req.get()).take() }.expect("REQ state implies a request");
@@ -231,12 +259,16 @@ impl HandoffSlot {
         r
     }
 
-    /// Kernel side: publish a grant and wake the process. The slot must be
-    /// `IDLE`: the target process is parked (or spinning) in `wait_grant`.
-    pub(crate) fn send_grant(&self, g: Grant) {
+    /// Kernel side: publish a grant stamped with the kernel's virtual time
+    /// `now` and wake the process. The slot must be `IDLE`: the target
+    /// process is parked (or spinning) in `wait_grant`.
+    pub(crate) fn send_grant(&self, g: Grant, now: f64) {
         debug_assert_eq!(self.state.load(Ordering::Relaxed), IDLE);
-        // SAFETY: state is IDLE, so the process is not reading the cell.
-        unsafe { *self.grant.get() = Some(g) };
+        // SAFETY: state is IDLE, so the process is not reading the cells.
+        unsafe {
+            *self.grant.get() = Some(g);
+            *self.now.get() = now;
+        }
         self.state.store(GRANT, Ordering::Release);
         if let Some(t) = self.proc.get() {
             t.unpark();
@@ -250,7 +282,8 @@ mod tests {
 
     /// One full request/grant alternation across two real threads,
     /// including the "grant before the process thread even polls" start
-    /// edge.
+    /// edge, with the clock cell carried beside every grant and both the
+    /// short and the parking wait on the process side.
     #[test]
     fn alternation_across_threads() {
         let kernel: KernelThread = Arc::new(OnceLock::new());
@@ -258,27 +291,27 @@ mod tests {
         let s2 = slot.clone();
         let join = std::thread::spawn(move || {
             // Start gate: wait for the kernel's first grant.
-            match s2.wait_grant() {
-                Grant::Unit => {}
+            match s2.wait_grant(false) {
+                (Grant::Unit, t) => assert_eq!(t, 0.5),
                 _ => panic!("expected start grant"),
             }
             for i in 0..1000u64 {
                 s2.send_request(Request::Compute { flops: i as f64 });
-                match s2.wait_grant() {
-                    Grant::Time(t) => assert_eq!(t, i as f64),
-                    _ => panic!("expected time grant"),
+                match s2.wait_grant(i % 2 == 0) {
+                    (Grant::Unit, t) => assert_eq!(t, i as f64),
+                    _ => panic!("expected unit grant"),
                 }
             }
             s2.send_request(Request::Exit);
         });
         kernel.set(std::thread::current()).unwrap();
         slot.set_proc_thread(join.thread().clone());
-        slot.send_grant(Grant::Unit);
+        slot.send_grant(Grant::Unit, 0.5);
         let mut seen = 0u64;
         loop {
             match slot.wait_request() {
                 Request::Compute { flops } => {
-                    slot.send_grant(Grant::Time(flops));
+                    slot.send_grant(Grant::Unit, flops);
                     seen += 1;
                 }
                 Request::Exit => break,
@@ -297,11 +330,11 @@ mod tests {
         kernel.set(std::thread::current()).unwrap();
         let slot = Arc::new(HandoffSlot::new(kernel));
         let s2 = slot.clone();
-        let join = std::thread::spawn(move || matches!(s2.wait_grant(), Grant::Kill));
+        let join = std::thread::spawn(move || matches!(s2.wait_grant(false).0, Grant::Kill));
         slot.set_proc_thread(join.thread().clone());
         // Give the thread a chance to actually park.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        slot.send_grant(Grant::Kill);
+        slot.send_grant(Grant::Kill, 0.0);
         assert!(join.join().unwrap());
     }
 }

@@ -5,7 +5,9 @@
 //! deterministic. Application code receives a [`Ctx`] handle and calls
 //! blocking primitives (`compute`, `send`, `recv`, `sleep`, ...); each call
 //! hands control back to the kernel, which advances virtual time and resumes
-//! the process when the operation completes.
+//! the process when the operation completes. Every grant carries the
+//! kernel's virtual time, so [`Ctx::now`] is a local read: the clock cannot
+//! move while a process holds the grant.
 
 use crate::handoff::HandoffSlot;
 use crate::topology::HostId;
@@ -49,7 +51,6 @@ pub enum SendMode {
 
 /// Requests a process can make of the kernel.
 pub(crate) enum Request {
-    Now,
     Compute {
         flops: f64,
     },
@@ -94,10 +95,36 @@ pub(crate) enum Request {
     Panic(String),
 }
 
+impl Request {
+    /// Whether the kernel answers this request at once: it handles the
+    /// request and resumes the caller first (`resume_first`), before any
+    /// other process runs or any event is applied. Only these waits are
+    /// worth a spin or a yield ([`crate::handoff`]); every other request
+    /// parks its process at once. The engine checks this classification
+    /// against what it actually did on every request in debug builds.
+    /// A `recv` whose message has already arrived is answered at once
+    /// too, but whether it has is known only to the kernel, so `Recv`
+    /// counts as blocking.
+    pub(crate) fn answered_at_once(&self) -> bool {
+        match self {
+            Request::Compute { flops } => *flops <= 0.0,
+            Request::Sleep { dt } => *dt <= 0.0,
+            Request::Send { mode, .. } => *mode == SendMode::Eager,
+            Request::TryRecv { .. }
+            | Request::Spawn { .. }
+            | Request::InjectLoad { .. }
+            | Request::RemoveLoad { .. }
+            | Request::Trace { .. } => true,
+            Request::Recv { .. } | Request::Transfer { .. } | Request::Exit | Request::Panic(_) => {
+                false
+            }
+        }
+    }
+}
+
 /// Kernel replies that resume a blocked process.
 pub(crate) enum Grant {
     Unit,
-    Time(f64),
     Payload(Payload),
     MaybePayload(Option<Payload>),
     Proc(ProcId),
@@ -114,7 +141,7 @@ pub(crate) enum Endpoint {
     /// Seed transport: shared request mpsc + per-process grant mpsc.
     Channel {
         req_tx: Sender<(ProcId, Request)>,
-        grant_rx: Receiver<Grant>,
+        grant_rx: Receiver<(Grant, f64)>,
     },
     /// Per-process single-slot rendezvous (see [`crate::handoff`]).
     Direct(Arc<HandoffSlot>),
@@ -125,6 +152,9 @@ pub struct Ctx {
     pub(crate) pid: ProcId,
     pub(crate) host: HostId,
     pub(crate) ep: Endpoint,
+    /// The kernel's virtual time at the last grant. The clock cannot move
+    /// while this process holds the grant, so it is the current time.
+    now: f64,
     /// Process-local intern cache for trace labels, so repeated `trace`
     /// calls with the same label reuse one allocation. Processes trace a
     /// handful of distinct labels, so a linear scan beats a hash map.
@@ -137,42 +167,49 @@ impl Ctx {
             pid,
             host,
             ep,
+            now: 0.0,
             labels: Vec::new(),
         }
     }
 
     fn call(&mut self, req: Request) -> Grant {
-        match &self.ep {
+        let (g, now) = match &self.ep {
             Endpoint::Channel { req_tx, grant_rx } => {
                 if req_tx.send((self.pid, req)).is_err() {
                     // Kernel is gone: the simulation ended.
                     std::panic::panic_any(KillToken);
                 }
                 match grant_rx.recv() {
-                    Ok(Grant::Kill) | Err(_) => std::panic::panic_any(KillToken),
-                    Ok(g) => g,
+                    Ok(x) => x,
+                    Err(_) => std::panic::panic_any(KillToken),
                 }
             }
             Endpoint::Direct(slot) => {
+                let at_once = req.answered_at_once();
                 slot.send_request(req);
-                match slot.wait_grant() {
-                    Grant::Kill => std::panic::panic_any(KillToken),
-                    g => g,
-                }
+                slot.wait_grant(at_once)
             }
+        };
+        if let Grant::Kill = g {
+            std::panic::panic_any(KillToken);
         }
+        self.now = now;
+        g
     }
 
     /// Block until the kernel issues this process's start grant. Returns
     /// `false` if the kernel instead killed the process (simulation over
     /// before it ever ran). Used only by the engine's thread wrapper.
     pub(crate) fn wait_start(&mut self) -> bool {
-        match &self.ep {
-            Endpoint::Channel { grant_rx, .. } => {
-                matches!(grant_rx.recv(), Ok(Grant::Unit))
-            }
-            Endpoint::Direct(slot) => matches!(slot.wait_grant(), Grant::Unit),
-        }
+        let (g, now) = match &self.ep {
+            Endpoint::Channel { grant_rx, .. } => match grant_rx.recv() {
+                Ok(x) => x,
+                Err(_) => return false,
+            },
+            Endpoint::Direct(slot) => slot.wait_grant(false),
+        };
+        self.now = now;
+        matches!(g, Grant::Unit)
     }
 
     /// Fire-and-forget notification to the kernel (Exit/Panic from the
@@ -206,12 +243,10 @@ impl Ctx {
         self.host
     }
 
-    /// Current virtual time in seconds.
-    pub fn now(&mut self) -> f64 {
-        match self.call(Request::Now) {
-            Grant::Time(t) => t,
-            _ => unreachable!("kernel grant mismatch for Now"),
-        }
+    /// Current virtual time in seconds. A local read of the time stamped
+    /// on the last grant; it makes no request of the kernel.
+    pub fn now(&self) -> f64 {
+        self.now
     }
 
     /// Perform `flops` floating-point operations' worth of work. Blocks for
