@@ -31,7 +31,8 @@
 //!   `target/service_round_trace.json`)
 //!
 //! Writes the `attr_feedback` (or `attr_feedback_smoke`) section of
-//! `BENCH_attr.json` at the repository root.
+//! `BENCH_attr.json` in the working directory (run it from the
+//! repository root).
 
 use grads_bench::sweep::{json_num, json_obj, merge_bench_section_in};
 use grads_core::apps::QrCop;

@@ -15,20 +15,25 @@
 //! `service_determinism` suite.
 //!
 //! The **`service_hotpath`** axis is the one deliberate exception: it
-//! A/Bs the incremental decision-epoch path (`SchedTune::epoch`) against
-//! the per-job-rebuild reference at a mapping-heavy point, asserts
-//! in-binary that the two runs are bit-identical (full `ServiceResult`
-//! plus the obs snapshot filtered of the epoch-only `svc.epoch.*`
-//! counters), and records **wall-clock** rounds/sec — the same
-//! measured-speed precedent as `BENCH_sim.json`'s wall keys, so those
-//! keys vary between machines while every identity key stays pinned.
+//! A/Bs the default decision path (one sorted index per round, walked
+//! per job) against the reference path (`SchedTune::reference()`, which
+//! re-sorts against the live NWS per job) at a mapping-heavy point,
+//! asserts in-binary that the two runs are bit-identical (full
+//! `ServiceResult` plus the obs snapshot), and records **wall-clock**
+//! rounds/sec — the same measured-speed precedent as `BENCH_sim.json`'s
+//! wall keys, so those keys vary between machines while every identity
+//! key stays pinned. The reference path is quadratic in cluster size, so
+//! the A/B runs at 256 hosts; the full sweep adds a 4096-host
+//! mapping-heavy point on the default path alone, run twice and asserted
+//! rerun-identical, with its rounds/sec.
 //!
 //! Usage:
 //!   cargo run --release -p grads-bench --bin grid_service          # full sweep
 //!   cargo run --release -p grads-bench --bin grid_service smoke    # CI smoke
 //!
 //! Writes the `grid_service` + `service_hotpath` (or `_smoke`) sections
-//! of `BENCH_service.json` at the repository root.
+//! of `BENCH_service.json` in the working directory (run it from the
+//! repository root).
 
 use grads_bench::sweep::{default_workers, json_num, json_obj, merge_bench_section_in, run_sweep};
 use grads_core::prelude::*;
@@ -105,9 +110,8 @@ const SMOKE: &[Point] = &[
     },
 ];
 
-/// The hotpath A/B point: a deep *standing* queue over a large grid, so
-/// per-round decision work (eligibility scans + per-job walks) dominates
-/// and the epoch path's incremental state has something to win. The
+/// A hotpath point: a deep *standing* queue over a grid, so per-round
+/// decision work (per-job mapping walks) dominates. The
 /// standing queue is engineered, not incidental: `reserve_price` sits
 /// above most drawn budget rates (`budget_rate` spans 0.6–2.2), so the
 /// bulk of the stream maps successfully every round and then defers
@@ -122,23 +126,10 @@ struct HotPoint {
     mean_interarrival_s: f64,
     round_s: f64,
     reserve_price: f64,
-    /// Full mode asserts the epoch speedup; smoke skips it (CI noise).
-    min_speedup: Option<f64>,
 }
 
-const HOT_FULL: HotPoint = HotPoint {
-    tag: "h4096_mapheavy",
-    hosts: 4096,
-    clusters: 32,
-    cores: 2,
-    n_jobs: 4000,
-    mean_interarrival_s: 0.05,
-    round_s: 30.0,
-    reserve_price: 6.0,
-    min_speedup: Some(3.0),
-};
-
-const HOT_SMOKE: HotPoint = HotPoint {
+/// The A/B point, default path vs reference path, in both modes.
+const HOT_AB: HotPoint = HotPoint {
     tag: "h256_mapheavy",
     hosts: 256,
     clusters: 8,
@@ -147,13 +138,27 @@ const HOT_SMOKE: HotPoint = HotPoint {
     mean_interarrival_s: 0.2,
     round_s: 30.0,
     reserve_price: 6.0,
-    min_speedup: None,
 };
 
+/// Full mode's grid-scale point, on the default path only.
+const HOT_SCALE: HotPoint = HotPoint {
+    tag: "h4096_mapheavy",
+    hosts: 4096,
+    clusters: 32,
+    cores: 2,
+    n_jobs: 4000,
+    mean_interarrival_s: 0.05,
+    round_s: 30.0,
+    reserve_price: 6.0,
+};
+
+/// Full mode's floor on the default path's speedup over the reference
+/// path at [`HOT_AB`]; smoke skips it (CI noise).
+const MIN_SPEEDUP: f64 = 3.0;
+
 /// One hotpath run: the mapping-heavy point on the chosen decision path,
-/// returning the result, the obs snapshot with epoch-only `svc.epoch.*`
-/// lines removed (the identity-comparable remainder), and the wall time.
-fn run_hot(p: &HotPoint, epoch: bool) -> (ServiceResult, String, f64) {
+/// returning the result, the obs snapshot, and the wall time.
+fn run_hot(p: &HotPoint, sched: SchedTune) -> (ServiceResult, String, f64) {
     let cfg = ServiceConfig {
         workload: WorkloadConfig {
             n_jobs: p.n_jobs,
@@ -169,7 +174,7 @@ fn run_hot(p: &HotPoint, epoch: bool) -> (ServiceResult, String, f64) {
         // Never truncate the queue walk: every queued job gets its
         // mapping decision each round, on both paths identically.
         max_admissions_per_round: usize::MAX,
-        sched: SchedTune::fast().with_epoch(epoch),
+        sched,
         obs: Obs::enabled(),
         ..ServiceConfig::default()
     };
@@ -177,14 +182,7 @@ fn run_hot(p: &HotPoint, epoch: bool) -> (ServiceResult, String, f64) {
     let t0 = std::time::Instant::now();
     let r = run_service_experiment(cfg);
     let wall_s = t0.elapsed().as_secs_f64();
-    let filtered: String = obs
-        .snapshot()
-        .to_json()
-        .lines()
-        .filter(|l| !l.contains("svc.epoch."))
-        .collect::<Vec<_>>()
-        .join("\n");
-    (r, filtered, wall_s)
+    (r, obs.snapshot().to_json(), wall_s)
 }
 
 fn run_point(p: &Point) -> ServiceResult {
@@ -330,26 +328,26 @@ fn main() {
     merge_bench_section_in("BENCH_service.json", section, &json_obj(&fields));
     println!("wrote {section} section of BENCH_service.json");
 
-    // ---- service_hotpath: epoch path vs reference decision path ----
-    let hp = if smoke { &HOT_SMOKE } else { &HOT_FULL };
+    // ---- service_hotpath: default path vs reference decision path ----
+    let hp = &HOT_AB;
     println!(
-        "\nSERVICE-HOTPATH — incremental epochs vs per-job rebuild @ {} \
+        "\nSERVICE-HOTPATH — one index per round vs per-job reference sort @ {} \
          ({} hosts, {} jobs)",
         hp.tag, hp.hosts, hp.n_jobs
     );
-    let (r_ref, obs_ref, wall_ref) = run_hot(hp, false);
-    let (r_epoch, obs_epoch, wall_epoch) = run_hot(hp, true);
+    let (r_ref, obs_ref, wall_ref) = run_hot(hp, SchedTune::reference());
+    let (r_def, obs_def, wall_def) = run_hot(hp, SchedTune::default());
     assert_eq!(
-        r_ref, r_epoch,
-        "{}: the epoch path changed a decision or a ledger bit",
+        r_ref, r_def,
+        "{}: the default path changed a decision or a ledger bit",
         hp.tag
     );
-    let identity_ok = r_ref == r_epoch && obs_ref == obs_epoch;
     assert_eq!(
-        obs_ref, obs_epoch,
-        "{}: obs snapshots diverge beyond the epoch-only counters",
+        obs_ref, obs_def,
+        "{}: obs snapshots diverge between decision paths",
         hp.tag
     );
+    let identity_ok = r_ref == r_def && obs_ref == obs_def;
     let decisions_line = obs_ref
         .lines()
         .find(|l| l.contains("svc.round.decisions"))
@@ -361,22 +359,22 @@ fn main() {
         hp.tag, r_ref.totals.admitted, r_ref.totals.rejected, decisions_line
     );
     let ref_rps = r_ref.rounds as f64 / wall_ref.max(1e-9);
-    let epoch_rps = r_epoch.rounds as f64 / wall_epoch.max(1e-9);
-    let speedup = wall_ref / wall_epoch.max(1e-9);
+    let def_rps = r_def.rounds as f64 / wall_def.max(1e-9);
+    let speedup = wall_ref / wall_def.max(1e-9);
     println!(
-        "{:>16} rounds {:>5}  reference {:>8.2} rounds/s  epoch {:>8.2} \
+        "{:>16} rounds {:>5}  reference {:>8.2} rounds/s  default {:>8.2} \
          rounds/s  speedup {:>5.2}x  identity ok",
-        hp.tag, r_ref.rounds, ref_rps, epoch_rps, speedup
+        hp.tag, r_ref.rounds, ref_rps, def_rps, speedup
     );
-    if let Some(min) = hp.min_speedup {
+    if !smoke {
         assert!(
-            speedup >= min,
-            "{}: epoch path must be >= {min}x over the reference decision \
-             path (got {speedup:.2}x)",
+            speedup >= MIN_SPEEDUP,
+            "{}: default path must be >= {MIN_SPEEDUP}x over the reference \
+             decision path (got {speedup:.2}x)",
             hp.tag
         );
     }
-    let hot_fields: Vec<(String, String)> = vec![
+    let mut hot_fields: Vec<(String, String)> = vec![
         (
             format!("{}_identity_ok", hp.tag),
             json_num(identity_ok as u64 as f64),
@@ -384,13 +382,35 @@ fn main() {
         (format!("{}_speedup_x", hp.tag), json_num(speedup)),
         (format!("{}_ref_rounds_per_sec", hp.tag), json_num(ref_rps)),
         (
-            format!("{}_epoch_rounds_per_sec", hp.tag),
-            json_num(epoch_rps),
+            format!("{}_default_rounds_per_sec", hp.tag),
+            json_num(def_rps),
         ),
         (format!("{}_rounds", hp.tag), json_num(r_ref.rounds as f64)),
         (format!("{}_ref_wall_s", hp.tag), json_num(wall_ref)),
-        (format!("{}_epoch_wall_s", hp.tag), json_num(wall_epoch)),
+        (format!("{}_default_wall_s", hp.tag), json_num(wall_def)),
     ];
+    if !smoke {
+        let hp = &HOT_SCALE;
+        let (r_a, obs_a, wall_a) = run_hot(hp, SchedTune::default());
+        let (r_b, obs_b, _) = run_hot(hp, SchedTune::default());
+        assert_eq!(
+            r_a, r_b,
+            "{}: rerun changed a decision or a ledger bit",
+            hp.tag
+        );
+        assert_eq!(obs_a, obs_b, "{}: rerun changed the obs snapshot", hp.tag);
+        let rps = r_a.rounds as f64 / wall_a.max(1e-9);
+        println!(
+            "{:>16} rounds {:>5}  default {:>8.2} rounds/s  rerun identity ok",
+            hp.tag, r_a.rounds, rps
+        );
+        hot_fields.extend([
+            (format!("{}_rerun_identity_ok", hp.tag), json_num(1.0)),
+            (format!("{}_default_rounds_per_sec", hp.tag), json_num(rps)),
+            (format!("{}_rounds", hp.tag), json_num(r_a.rounds as f64)),
+            (format!("{}_default_wall_s", hp.tag), json_num(wall_a)),
+        ]);
+    }
     let hot_refs: Vec<(&str, String)> = hot_fields
         .iter()
         .map(|(k, v)| (k.as_str(), v.clone()))

@@ -25,7 +25,8 @@
 //!   cargo run --release -p grads-bench --bin sched_scale smoke    # CI smoke
 //!
 //! Writes the `sched_scale` (or `sched_scale_smoke`) section of
-//! `BENCH_sched.json` at the repository root.
+//! `BENCH_sched.json` in the working directory (run it from the
+//! repository root).
 
 use grads_bench::sweep::{default_workers, json_num, json_obj, merge_bench_section_in};
 use grads_core::nws::{ForecastSnapshot, NwsService};

@@ -28,7 +28,8 @@
 //!   queue buries them for pop-time discarding, the indexed queue removes
 //!   them in O(log n). Reports events applied/sec for both queues.
 //!
-//! Writes the `sim_hotpath` section of `BENCH_sim.json` at the repo root.
+//! Writes the `sim_hotpath` section of `BENCH_sim.json` in the working
+//! directory (run it from the repository root).
 //!
 //! Usage: `cargo run --release -p grads-bench --bin sim_hotpath [rounds]`
 //! (default 30000 ping-pong rounds; storms scale accordingly).

@@ -70,29 +70,34 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Path of the simulator benchmark snapshot at the repository root.
+/// Path of the simulator benchmark snapshot in the working directory.
 pub fn bench_json_path() -> std::path::PathBuf {
     bench_json_path_named("BENCH_sim.json")
 }
 
-/// Path of a named benchmark snapshot at the repository root (e.g.
-/// `BENCH_sched.json` for the scheduler decision-path sweep).
+/// Path of a named benchmark snapshot (e.g. `BENCH_sched.json` for the
+/// scheduler decision-path sweep), resolved against the working
+/// directory at run time. Benches are run from the repository root, so
+/// this is the checked-in snapshot; a binary run from any other
+/// directory writes there instead of into the checkout it was built
+/// from.
 pub fn bench_json_path_named(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file)
+    match std::env::current_dir() {
+        Ok(dir) => dir.join(file),
+        Err(_) => std::path::PathBuf::from(file),
+    }
 }
 
-/// Merge one named top-level section into `BENCH_sim.json` at the repo
-/// root, preserving the other sections and their order. `body` must be a
+/// Merge one named top-level section into `BENCH_sim.json` in the
+/// working directory, preserving the other sections and their order. `body` must be a
 /// valid JSON value (typically an object built with [`json_obj`]). The
 /// file itself is a single JSON object keyed by section name.
 pub fn merge_bench_section(section: &str, body: &str) {
     merge_bench_section_in("BENCH_sim.json", section, body)
 }
 
-/// [`merge_bench_section`] against an arbitrary snapshot file at the repo
-/// root, so independent benchmark families (simulator substrate vs
+/// [`merge_bench_section`] against an arbitrary snapshot file in the
+/// working directory, so independent benchmark families (simulator substrate vs
 /// scheduler decision path) keep separate checked-in snapshots.
 pub fn merge_bench_section_in(file: &str, section: &str, body: &str) {
     let path = bench_json_path_named(file);
@@ -203,6 +208,20 @@ mod tests {
             assert_eq!(serial, par, "workers = {w}");
         }
         assert_eq!(serial[5], (5, 25));
+    }
+
+    #[test]
+    fn bench_snapshots_resolve_against_the_working_directory() {
+        let cwd = std::env::current_dir().unwrap();
+        assert_eq!(
+            bench_json_path_named("BENCH_x.json"),
+            cwd.join("BENCH_x.json")
+        );
+        assert_eq!(bench_json_path(), cwd.join("BENCH_sim.json"));
+        // Not a path baked in at compile time: the crate's manifest dir
+        // is never part of it unless the process runs there.
+        let baked = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert!(!bench_json_path().starts_with(&baked));
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub mod prelude {
         SchedTune, Schedule, Workflow, WorkflowScheduler,
     };
     pub use grads_service::{
-        run_service_experiment, service_grid, Accounting, ServiceConfig, ServiceResult,
-        TenantAccount, WorkloadConfig,
+        run_service_experiment, service_grid, Accounting, ServiceConfig, ServiceConfigError,
+        ServiceResult, TenantAccount, WorkloadConfig,
     };
     pub use grads_sim::dml::parse_dml;
     pub use grads_sim::prelude::*;

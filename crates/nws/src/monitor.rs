@@ -9,15 +9,7 @@
 
 use crate::ensemble::{Ensemble, Forecast};
 use grads_sim::prelude::*;
-use std::collections::{BTreeSet, HashMap};
-
-/// The bit pattern a snapshot serves for an unmeasured CPU series: an
-/// unmeasured host is assumed idle (`forecast_cpu_or_idle` → `1.0`).
-pub(crate) const IDLE_BITS: u64 = 0x3FF0_0000_0000_0000; // 1.0f64.to_bits()
-
-/// Sentinel for "no forecast" on a network series, where `None` is a
-/// distinct observable state (it routes queries to the static topology).
-pub(crate) const NONE_BITS: u64 = u64::MAX;
+use std::collections::HashMap;
 
 /// Orders a cluster pair so (a,b) and (b,a) share one series.
 fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
@@ -25,61 +17,6 @@ fn pair(a: ClusterId, b: ClusterId) -> (ClusterId, ClusterId) {
         (a, b)
     } else {
         (b, a)
-    }
-}
-
-/// Per-series change tracking for delta snapshot capture.
-///
-/// `*_latest` holds the bit pattern of the forecast each series would
-/// serve *right now* (refreshed on every observation while tracking is
-/// on); `*_clean` holds the bits the last synchronized snapshot capture
-/// served. A series is **dirty** iff latest ≠ clean — and because the
-/// comparison is bitwise on the served forecast, an observation whose
-/// ensemble output lands back on the clean bits *removes* the series
-/// from the dirty set again. Never-captured series compare against the
-/// sentinel the snapshot serves for them ([`IDLE_BITS`] / [`NONE_BITS`]).
-#[derive(Default)]
-pub(crate) struct DeltaTrack {
-    pub(crate) cpu_latest: HashMap<HostId, u64>,
-    cpu_clean: HashMap<HostId, u64>,
-    pub(crate) bw_latest: HashMap<(ClusterId, ClusterId), u64>,
-    bw_clean: HashMap<(ClusterId, ClusterId), u64>,
-    pub(crate) lat_latest: HashMap<(ClusterId, ClusterId), u64>,
-    lat_clean: HashMap<(ClusterId, ClusterId), u64>,
-    pub(crate) dirty_hosts: BTreeSet<HostId>,
-    pub(crate) dirty_bw: BTreeSet<(ClusterId, ClusterId)>,
-    pub(crate) dirty_lat: BTreeSet<(ClusterId, ClusterId)>,
-}
-
-impl DeltaTrack {
-    /// Record the latest served bits for one series and flip its dirty
-    /// membership against the clean baseline `default` (the sentinel an
-    /// uncaptured series serves).
-    fn note<K: Ord + std::hash::Hash + Copy>(
-        latest: &mut HashMap<K, u64>,
-        clean: &HashMap<K, u64>,
-        dirty: &mut BTreeSet<K>,
-        key: K,
-        bits: u64,
-        default: u64,
-    ) {
-        latest.insert(key, bits);
-        if bits == clean.get(&key).copied().unwrap_or(default) {
-            dirty.remove(&key);
-        } else {
-            dirty.insert(key);
-        }
-    }
-
-    /// Mark everything clean: the snapshot just captured serves exactly
-    /// the latest bits.
-    fn sync(&mut self) {
-        self.cpu_clean = self.cpu_latest.clone();
-        self.bw_clean = self.bw_latest.clone();
-        self.lat_clean = self.lat_latest.clone();
-        self.dirty_hosts.clear();
-        self.dirty_bw.clear();
-        self.dirty_lat.clear();
     }
 }
 
@@ -95,9 +32,6 @@ pub struct NwsService {
     bandwidth: HashMap<(ClusterId, ClusterId), Box<Ensemble>>,
     latency: HashMap<(ClusterId, ClusterId), Box<Ensemble>>,
     heartbeat: HashMap<HostId, f64>,
-    /// Delta-capture tracking; `None` (the default) keeps every
-    /// observation on the exact seed code path with zero overhead.
-    track: Option<DeltaTrack>,
 }
 
 impl NwsService {
@@ -114,19 +48,10 @@ impl NwsService {
         if !availability.is_finite() {
             return;
         }
-        let e = self.cpu.entry(host).or_default();
-        e.update(availability.clamp(0.0, 1.0));
-        if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.cpu_latest,
-                &t.cpu_clean,
-                &mut t.dirty_hosts,
-                host,
-                bits,
-                IDLE_BITS,
-            );
-        }
+        self.cpu
+            .entry(host)
+            .or_default()
+            .update(availability.clamp(0.0, 1.0));
     }
 
     /// Record an achieved end-to-end bandwidth (bytes/s) between two
@@ -136,20 +61,10 @@ impl NwsService {
         if !bytes_per_s.is_finite() {
             return;
         }
-        let p = pair(a, b);
-        let e = self.bandwidth.entry(p).or_default();
-        e.update(bytes_per_s.max(0.0));
-        if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.bw_latest,
-                &t.bw_clean,
-                &mut t.dirty_bw,
-                p,
-                bits,
-                NONE_BITS,
-            );
-        }
+        self.bandwidth
+            .entry(pair(a, b))
+            .or_default()
+            .update(bytes_per_s.max(0.0));
     }
 
     /// Record a measured one-way latency (seconds) between two sites;
@@ -158,111 +73,10 @@ impl NwsService {
         if !seconds.is_finite() {
             return;
         }
-        let p = pair(a, b);
-        let e = self.latency.entry(p).or_default();
-        e.update(seconds.max(0.0));
-        if let Some(t) = &mut self.track {
-            let bits = e.forecast_value().expect("just updated").to_bits();
-            DeltaTrack::note(
-                &mut t.lat_latest,
-                &t.lat_clean,
-                &mut t.dirty_lat,
-                p,
-                bits,
-                NONE_BITS,
-            );
-        }
-    }
-
-    /// Turn on delta-capture tracking: from here on every observation
-    /// maintains a dirty set of series whose *served forecast bits*
-    /// changed since the last synchronized snapshot capture
-    /// (`ForecastSnapshot::capture_sync` / `capture_delta` in this
-    /// crate). Tracking is off by default — the seed observation path is
-    /// untouched — and turning it on never changes a forecast, only what
-    /// bookkeeping an observation does. Idempotent; already-measured
-    /// series enter the dirty set (nothing has been captured yet).
-    pub fn enable_delta_tracking(&mut self) {
-        if self.track.is_some() {
-            return;
-        }
-        let mut t = DeltaTrack::default();
-        for (&h, e) in &self.cpu {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.cpu_latest,
-                    &t.cpu_clean,
-                    &mut t.dirty_hosts,
-                    h,
-                    v.to_bits(),
-                    IDLE_BITS,
-                );
-            }
-        }
-        for (&p, e) in &self.bandwidth {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.bw_latest,
-                    &t.bw_clean,
-                    &mut t.dirty_bw,
-                    p,
-                    v.to_bits(),
-                    NONE_BITS,
-                );
-            }
-        }
-        for (&p, e) in &self.latency {
-            if let Some(v) = e.forecast_value() {
-                DeltaTrack::note(
-                    &mut t.lat_latest,
-                    &t.lat_clean,
-                    &mut t.dirty_lat,
-                    p,
-                    v.to_bits(),
-                    NONE_BITS,
-                );
-            }
-        }
-        self.track = Some(t);
-    }
-
-    /// Whether delta-capture tracking is on.
-    pub fn delta_tracking(&self) -> bool {
-        self.track.is_some()
-    }
-
-    /// Hosts whose served CPU forecast bits differ from the last
-    /// synchronized capture, ascending. Empty when tracking is off.
-    pub fn dirty_hosts(&self) -> Vec<HostId> {
-        match &self.track {
-            Some(t) => t.dirty_hosts.iter().copied().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// True when any bandwidth/latency pair's served forecast bits differ
-    /// from the last synchronized capture. Coarser than per-pair dirt on
-    /// purpose: network forecasts feed cross-cluster transfer estimates,
-    /// so epoch drivers conservatively invalidate every cached cluster
-    /// score when this trips. `false` when tracking is off.
-    pub fn has_dirty_network(&self) -> bool {
-        self.track
-            .as_ref()
-            .is_some_and(|t| !t.dirty_bw.is_empty() || !t.dirty_lat.is_empty())
-    }
-
-    /// Read-only view of the tracking state for the snapshot module.
-    pub(crate) fn delta_track(&self) -> Option<&DeltaTrack> {
-        self.track.as_ref()
-    }
-
-    /// Mark every tracked series clean — called by the snapshot module
-    /// right after a capture that serves the latest bits.
-    pub(crate) fn sync_clean(&mut self) {
-        self.track
-            .as_mut()
-            .expect("sync_clean requires delta tracking")
-            .sync();
+        self.latency
+            .entry(pair(a, b))
+            .or_default()
+            .update(seconds.max(0.0));
     }
 
     /// Record a sensor heartbeat: the sensor on `host` was alive at
@@ -529,20 +343,17 @@ mod tests {
     }
 
     /// Non-finite measurements never enter a series: the forecast bits
-    /// and the delta-tracking dirty sets stay exactly as they were, and an
-    /// unmeasured series stays unmeasured.
+    /// stay exactly as they were, and an unmeasured series stays
+    /// unmeasured.
     #[test]
     fn non_finite_observations_are_ignored() {
         let (x, y) = (ClusterId(0), ClusterId(1));
         let mut s = NwsService::new();
-        s.enable_delta_tracking();
         for i in 0..30 {
             s.observe_cpu(HostId(0), 0.4 + 0.01 * (i % 4) as f64);
             s.observe_bandwidth(x, y, 2e5 + 1e3 * (i % 3) as f64);
             s.observe_latency(x, y, 0.02 + 0.001 * (i % 5) as f64);
         }
-        let g = grid2();
-        let _ = crate::ForecastSnapshot::capture_sync(&g, &mut s);
         s.observe_cpu(HostId(0), 0.9);
         let bits = |s: &NwsService| {
             (
@@ -552,15 +363,12 @@ mod tests {
             )
         };
         let before = bits(&s);
-        let dirty_before = (s.dirty_hosts(), s.has_dirty_network());
-        assert_eq!(dirty_before, (vec![HostId(0)], false));
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             s.observe_cpu(HostId(0), bad);
             s.observe_cpu(HostId(1), bad);
             s.observe_bandwidth(x, y, bad);
             s.observe_latency(y, x, bad);
             assert_eq!(bits(&s), before, "{bad} moved a forecast");
-            assert_eq!((s.dirty_hosts(), s.has_dirty_network()), dirty_before);
             assert!(
                 s.forecast_cpu(HostId(1)).is_none(),
                 "{bad} created a series"

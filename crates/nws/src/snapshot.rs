@@ -90,90 +90,6 @@ impl ForecastSnapshot {
         }
     }
 
-    /// Full capture that also synchronizes the service's delta-tracking
-    /// baseline: after this call the dirty sets are empty and a later
-    /// [`ForecastSnapshot::capture_delta`] against the returned snapshot
-    /// is valid. Requires [`NwsService::enable_delta_tracking`]; the
-    /// captured values are exactly [`ForecastSnapshot::capture`]'s.
-    pub fn capture_sync(grid: &Grid, nws: &mut NwsService) -> Self {
-        assert!(
-            nws.delta_tracking(),
-            "capture_sync requires delta tracking (enable_delta_tracking)"
-        );
-        let snap = Self::capture(grid, nws);
-        nws.sync_clean();
-        snap
-    }
-
-    /// Incremental capture: re-derive only the series whose served
-    /// forecast bits changed since `prev` was captured, reuse `prev`'s
-    /// values for everything else, and re-synchronize the baseline.
-    ///
-    /// `prev` must be the snapshot of the *last* synchronized capture
-    /// ([`ForecastSnapshot::capture_sync`] or a previous `capture_delta`)
-    /// over the same grid — the dirty sets are deltas against exactly
-    /// that baseline. Cost is `O(dirty)` forecast-bit lookups (the
-    /// forecasts themselves were already computed at observation time)
-    /// plus an `O(hosts)` memcpy, instead of `O(hosts + cluster_pairs)`
-    /// hash lookups.
-    ///
-    /// **Bit-identity argument** (pinned by `tests/prop_delta_capture.rs`
-    /// and the unit suite): a clean series' ensemble serves bitwise the
-    /// same forecast it served at `prev`'s capture, so reusing `prev`'s
-    /// cached value reproduces the same `speed × value` product bits a
-    /// full capture would compute; a dirty series' latest bits are the
-    /// bits the ensemble serves *now* (forecasting is a pure function of
-    /// ensemble state, unchanged since the last observation), so the
-    /// recomputed entry equals the full capture's too.
-    pub fn capture_delta(grid: &Grid, nws: &mut NwsService, prev: &ForecastSnapshot) -> Self {
-        let nc = grid.clusters().len();
-        assert_eq!(
-            prev.speeds.len(),
-            grid.hosts().len(),
-            "capture_delta: prev snapshot covers a different host set"
-        );
-        assert_eq!(
-            prev.n_clusters, nc,
-            "capture_delta: prev snapshot covers a different cluster set"
-        );
-        let mut snap = prev.clone();
-        {
-            let t = nws
-                .delta_track()
-                .expect("capture_delta requires delta tracking (enable_delta_tracking)");
-            for &h in &t.dirty_hosts {
-                let i = h.0 as usize;
-                if i < snap.speeds.len() {
-                    let value = f64::from_bits(t.cpu_latest[&h]);
-                    snap.speeds[i] = grid.host(h).speed * value;
-                }
-            }
-            let opt = |bits: u64| {
-                if bits == crate::monitor::NONE_BITS {
-                    None
-                } else {
-                    Some(f64::from_bits(bits))
-                }
-            };
-            for &(a, b) in &t.dirty_bw {
-                if a.0 as usize >= nc || b.0 as usize >= nc {
-                    continue;
-                }
-                let i = a.0 as usize * nc + b.0 as usize;
-                snap.bandwidth[i] = opt(t.bw_latest[&(a, b)]);
-            }
-            for &(a, b) in &t.dirty_lat {
-                if a.0 as usize >= nc || b.0 as usize >= nc {
-                    continue;
-                }
-                let i = a.0 as usize * nc + b.0 as usize;
-                snap.latency[i] = opt(t.lat_latest[&(a, b)]);
-            }
-        }
-        nws.sync_clean();
-        snap
-    }
-
     /// Effective speed of a host, without the `grid` round trip. This is
     /// the sort-comparator fast path.
     #[inline]
@@ -429,61 +345,6 @@ mod tests {
             let live = s.transfer_time(&g, HostId(0), HostId(2), bytes);
             assert_eq!(live.to_bits(), fwd.to_bits());
         }
-    }
-
-    /// Delta capture: equal to a fresh full capture bitwise, dirty sets
-    /// drain on capture, and a clean round reuses everything.
-    #[test]
-    fn capture_delta_matches_full_capture() {
-        let g = grid2();
-        let mut s = NwsService::new();
-        s.enable_delta_tracking();
-        for i in 0..12 {
-            s.observe_cpu(HostId(0), 0.4 + 0.02 * (i % 5) as f64);
-            s.observe_bandwidth(ClusterId(0), ClusterId(1), 0.2e6 + 1e4 * (i % 3) as f64);
-        }
-        assert!(!s.dirty_hosts().is_empty(), "measured hosts start dirty");
-        let mut prev = ForecastSnapshot::capture_sync(&g, &mut s);
-        assert!(s.dirty_hosts().is_empty(), "capture_sync drains the set");
-        for round in 0..6 {
-            // Touch a changing subset; host 3 never measured at all.
-            s.observe_cpu(HostId(round % 3), 0.3 + 0.1 * (round % 4) as f64);
-            if round % 2 == 0 {
-                s.observe_latency(ClusterId(0), ClusterId(1), 0.05 + 0.01 * round as f64);
-            }
-            let full = ForecastSnapshot::capture(&g, &s);
-            let delta = ForecastSnapshot::capture_delta(&g, &mut s, &prev);
-            assert_eq!(
-                full.fingerprint(),
-                delta.fingerprint(),
-                "round {round}: delta capture diverged from full capture"
-            );
-            assert!(s.dirty_hosts().is_empty());
-            prev = delta;
-        }
-    }
-
-    /// An observation that leaves the served forecast bit-identical must
-    /// not dirty its series (the no-op observation edge case), and a
-    /// changed-then-restored forecast clears the dirty flag again.
-    #[test]
-    fn noop_observations_keep_series_clean() {
-        let g = grid2();
-        let mut s = NwsService::new();
-        s.enable_delta_tracking();
-        // A long constant history: the winning predictor forecasts the
-        // constant exactly, and keeps doing so under more of the same.
-        for _ in 0..40 {
-            s.observe_cpu(HostId(1), 0.5);
-        }
-        let prev = ForecastSnapshot::capture_sync(&g, &mut s);
-        s.observe_cpu(HostId(1), 0.5);
-        assert!(
-            s.dirty_hosts().is_empty(),
-            "constant-signal observation must not dirty the host"
-        );
-        let delta = ForecastSnapshot::capture_delta(&g, &mut s, &prev);
-        assert_eq!(prev.fingerprint(), delta.fingerprint());
     }
 
     /// The unmeasured grid: snapshot serves idle speeds and static routes.

@@ -1,20 +1,20 @@
-//! Persistent decision-epoch index: the sorted per-cluster host
-//! orderings that [`crate::CandidateWalk`] rebuilds from scratch for
-//! every job, maintained once per round instead.
+//! The per-round candidate index: the sorted per-cluster host orderings
+//! that [`crate::CandidateWalk::new`] rebuilds from scratch for every
+//! job, built once per decision round instead.
 //!
 //! [`crate::CandidateWalk::new`] pays an `O(H log H)` per-cluster sort
 //! per *job* even though the [`grads_nws::ForecastSnapshot`] it sorts
 //! against is frozen for the whole service round — only the *eligibility*
 //! of hosts differs between jobs, never their order. A [`SnapshotIndex`]
-//! keeps every cluster's full host list sorted under the walk comparator
-//! (effective speed descending, [`HostId`] ascending — a *unique* total
-//! order, since ids are unique) and is repaired between rounds from the
-//! snapshot delta: each changed host is removed at its old key and
-//! re-inserted at its new one. Because the order is a unique total order,
-//! remove/re-insert repair provably lands in the same permutation a full
-//! re-sort would produce, so everything downstream stays bit-identical.
+//! sorts every cluster's full host list once under the walk comparator
+//! (effective speed descending, [`HostId`] ascending). That comparator is
+//! a *unique* total order (`total_cmp` equality is bitwise equality and
+//! ids are unique), so the index order filtered by a job's eligibility
+//! is exactly the order a filter-then-sort would produce, and everything
+//! downstream stays bit-identical to the fresh walk.
 //!
 //! Per-job work then drops to
+//! [`crate::CandidateWalk::score_cluster_from_index`] /
 //! [`crate::CandidateWalk::from_index`]: walk the prebuilt order, keep
 //! hosts present in the job's eligibility [`HostBitset`], and stop after
 //! `max_procs` of them — `O(procs + skipped busy hosts)` instead of
@@ -87,47 +87,26 @@ pub struct ClusterOrder {
     pub speeds: Vec<f64>,
 }
 
-/// What a [`SnapshotIndex::repair`] call actually did, for the
-/// `svc.epoch.*` observability counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Hosts removed and re-inserted at a new key.
-    pub moved: usize,
-    /// True when the delta was large enough that a full rebuild was
-    /// cheaper than per-host repair (`moved` then counts the changed
-    /// hosts that triggered it).
-    pub rebuilt: bool,
-}
-
 /// Per-cluster host orderings under the candidate-walk comparator,
-/// persistent across the jobs of a decision epoch and repaired — not
-/// re-sorted — when the forecast snapshot changes between epochs.
+/// shared by every job mapped against one forecast snapshot.
 #[derive(Debug, Clone)]
 pub struct SnapshotIndex {
     clusters: Vec<ClusterOrder>,
-    /// Host id → the effective-speed key the host is currently filed
-    /// under (needed to locate it for removal).
-    speed_of: Vec<f64>,
-    /// Host id → index into `clusters`.
-    cluster_ix: Vec<u32>,
 }
 
 /// The walk comparator on `(speed, host)` keys: speed descending under
 /// `total_cmp`, host id ascending. `total_cmp` equality implies bitwise
 /// equality and host ids are unique, so the order is a unique total
-/// order — the foundation of the repair == re-sort argument.
+/// order — the foundation of the index == fresh-sort argument.
 #[inline]
 fn key_cmp(a_speed: f64, a_host: HostId, b_speed: f64, b_host: HostId) -> Ordering {
     b_speed.total_cmp(&a_speed).then(a_host.cmp(&b_host))
 }
 
 impl SnapshotIndex {
-    /// Sort every cluster's full host list against `snap`. Done once at
-    /// service start (and as the repair fallback for very large deltas).
+    /// Sort every cluster's full host list against `snap` — once per
+    /// snapshot, however many jobs are then mapped against it.
     pub fn build(grid: &Grid, snap: &ForecastSnapshot) -> Self {
-        let n = grid.hosts().len();
-        let mut speed_of = vec![0.0; n];
-        let mut cluster_ix = vec![0u32; n];
         let mut clusters = Vec::with_capacity(grid.clusters().len());
         for (ci, cluster) in grid.clusters().iter().enumerate() {
             let mut pairs: Vec<(HostId, f64)> = cluster
@@ -136,21 +115,13 @@ impl SnapshotIndex {
                 .map(|&h| (h, snap.effective_speed(grid, h)))
                 .collect();
             pairs.sort_by(|a, b| key_cmp(a.1, a.0, b.1, b.0));
-            for &(h, s) in &pairs {
-                speed_of[h.0 as usize] = s;
-                cluster_ix[h.0 as usize] = ci as u32;
-            }
             clusters.push(ClusterOrder {
                 cluster: ClusterId(ci as u32),
                 hosts: pairs.iter().map(|&(h, _)| h).collect(),
                 speeds: pairs.iter().map(|&(_, s)| s).collect(),
             });
         }
-        SnapshotIndex {
-            clusters,
-            speed_of,
-            cluster_ix,
-        }
+        SnapshotIndex { clusters }
     }
 
     /// The per-cluster orders, in cluster-index order.
@@ -158,29 +129,8 @@ impl SnapshotIndex {
         &self.clusters
     }
 
-    /// Number of hosts indexed.
-    pub fn n_hosts(&self) -> usize {
-        self.speed_of.len()
-    }
-
-    /// First index in `c`'s order at which `(speed, h)` files — the
-    /// host's exact position if present (keys are unique), else its
-    /// insertion point.
-    fn lower_bound(c: &ClusterOrder, speed: f64, h: HostId) -> usize {
-        let (mut lo, mut hi) = (0usize, c.hosts.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if key_cmp(c.speeds[mid], c.hosts[mid], speed, h) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     /// The first `k` hosts of cluster `ci`'s order that are set in
-    /// `eligible` — the host list of the prefix a cached
+    /// `eligible` — the host list of the prefix a
     /// `(prefix length, predicted)` cluster score refers to, materialized
     /// only for the winning cluster of a mapping decision.
     pub fn eligible_prefix(&self, ci: usize, eligible: &HostBitset, k: usize) -> Vec<HostId> {
@@ -195,50 +145,6 @@ impl SnapshotIndex {
             }
         }
         hosts
-    }
-
-    /// Bring the index up to date with `snap` given the hosts whose
-    /// forecasts changed since the last sync (the
-    /// [`grads_nws::NwsService::dirty_hosts`] set). Each changed host is
-    /// removed at its old key and re-inserted at its new one; when the
-    /// delta covers more than a quarter of the grid, a full rebuild is
-    /// cheaper and provably equivalent, so we do that instead.
-    pub fn repair(
-        &mut self,
-        grid: &Grid,
-        snap: &ForecastSnapshot,
-        changed: &[HostId],
-    ) -> RepairReport {
-        if changed.len() * 4 > self.speed_of.len() {
-            *self = Self::build(grid, snap);
-            return RepairReport {
-                moved: changed.len(),
-                rebuilt: true,
-            };
-        }
-        let mut moved = 0;
-        for &h in changed {
-            let hi = h.0 as usize;
-            let new = snap.effective_speed(grid, h);
-            let old = self.speed_of[hi];
-            if new.to_bits() == old.to_bits() {
-                continue; // forecast bits moved and came back, or a collision
-            }
-            let c = &mut self.clusters[self.cluster_ix[hi] as usize];
-            let at = Self::lower_bound(c, old, h);
-            debug_assert_eq!(c.hosts[at], h, "index lost track of a host key");
-            c.hosts.remove(at);
-            c.speeds.remove(at);
-            let to = Self::lower_bound(c, new, h);
-            c.hosts.insert(to, h);
-            c.speeds.insert(to, new);
-            self.speed_of[hi] = new;
-            moved += 1;
-        }
-        RepairReport {
-            moved,
-            rebuilt: false,
-        }
     }
 }
 
@@ -277,16 +183,6 @@ mod tests {
         (b.build().unwrap(), nws)
     }
 
-    fn assert_index_matches_full_sort(grid: &Grid, snap: &ForecastSnapshot, idx: &SnapshotIndex) {
-        let fresh = SnapshotIndex::build(grid, snap);
-        for (a, b) in idx.clusters().iter().zip(fresh.clusters()) {
-            assert_eq!(a.hosts, b.hosts, "order diverged in {:?}", a.cluster);
-            let ab: Vec<u64> = a.speeds.iter().map(|s| s.to_bits()).collect();
-            let bb: Vec<u64> = b.speeds.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(ab, bb, "speeds diverged in {:?}", a.cluster);
-        }
-    }
-
     #[test]
     fn bitset_basics() {
         let mut s = HostBitset::new(130);
@@ -301,44 +197,6 @@ mod tests {
         assert!(!s.remove(HostId(64)));
         assert_eq!(s.len(), 2);
         assert!(!s.contains(HostId(500)), "out of range is absent");
-    }
-
-    #[test]
-    fn repair_equals_full_resort_across_observation_rounds() {
-        let (grid, mut nws) = setup(6);
-        nws.enable_delta_tracking();
-        let mut snap = ForecastSnapshot::capture_sync(&grid, &mut nws);
-        let mut idx = SnapshotIndex::build(&grid, &snap);
-        for round in 0..12u32 {
-            // A few hosts drift each round, including reversions.
-            for k in 0..3 {
-                let h = (round * 5 + k * 7) % 18;
-                nws.observe_cpu(HostId(h), 0.2 + 0.05 * ((round + k) % 2) as f64);
-            }
-            let dirty = nws.dirty_hosts();
-            snap = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap);
-            let rep = idx.repair(&grid, &snap, &dirty);
-            assert!(!rep.rebuilt, "small deltas must take the repair path");
-            assert!(rep.moved <= dirty.len());
-            assert_index_matches_full_sort(&grid, &snap, &idx);
-        }
-    }
-
-    #[test]
-    fn huge_delta_falls_back_to_rebuild() {
-        let (grid, mut nws) = setup(6);
-        nws.enable_delta_tracking();
-        let snap0 = ForecastSnapshot::capture_sync(&grid, &mut nws);
-        let mut idx = SnapshotIndex::build(&grid, &snap0);
-        for h in 0..18u32 {
-            nws.observe_cpu(HostId(h), 0.9);
-        }
-        let dirty = nws.dirty_hosts();
-        assert!(dirty.len() * 4 > 18);
-        let snap = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap0);
-        let rep = idx.repair(&grid, &snap, &dirty);
-        assert!(rep.rebuilt);
-        assert_index_matches_full_sort(&grid, &snap, &idx);
     }
 
     #[test]

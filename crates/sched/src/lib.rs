@@ -12,7 +12,10 @@
 //! * [`walk`] + [`tune`] — the grid-scale fast decision path: forecast
 //!   snapshots, zero-materialization candidate walks scored by
 //!   incremental prefix predictors, and a parallel deterministic argmin,
-//!   bit-identical to the reference path behind a [`SchedTune`] switch.
+//!   bit-identical to the reference path behind a [`SchedTune`] switch;
+//! * [`epoch`] — the per-round [`SnapshotIndex`]: each cluster sorted
+//!   once per forecast snapshot and walked per job under a free-host
+//!   [`HostBitset`], the multi-tenant service's mapping path.
 
 pub mod bounds;
 pub mod dag;
@@ -26,7 +29,7 @@ pub mod workflow;
 
 pub use bounds::{area_bound, best_ecosts, critical_path_bound, makespan_lower_bound};
 pub use dag::{DagError, WfComponent, WfEdge, Workflow};
-pub use epoch::{ClusterOrder, HostBitset, RepairReport, SnapshotIndex};
+pub use epoch::{ClusterOrder, HostBitset, SnapshotIndex};
 
 pub use economy::{
     auction_allocate, demand_at, jain_fairness, price_volatility, AuctionOutcome, CommodityMarket,

@@ -21,7 +21,9 @@ pub enum DecisionPath {
     /// Kept as the benchmark baseline.
     Reference,
     /// Forecast snapshot + zero-materialization prefix walk + parallel
-    /// deterministic argmin. The default.
+    /// deterministic argmin. The default. The multi-tenant service runs
+    /// it as one [`crate::SnapshotIndex`] per dispatch round, walked
+    /// per job under the live free-host [`crate::HostBitset`].
     #[default]
     Fast,
 }
@@ -34,7 +36,9 @@ pub struct SchedTune {
     pub path: DecisionPath,
     /// Worker threads for the fast path's cluster-sharded scorer
     /// (`1` = score on the calling thread). Ignored by the reference
-    /// path. The argmin is bit-identical at any value.
+    /// path. The argmin is bit-identical at any value. The service's
+    /// fast path maps every job serially against one per-round
+    /// [`crate::SnapshotIndex`] and does not read this field.
     pub workers: usize,
     /// Critical-path attribution feedback strength, in thousandths
     /// (`0` = off, the default; `250` = α 0.25). Stored as an integer so
@@ -47,15 +51,6 @@ pub struct SchedTune {
     /// mapping. Off ⇒ the scoring arithmetic is untouched and decisions
     /// are bit-identical to a build without the knob.
     pub attr_alpha_milli: u32,
-    /// Incremental decision epochs (default off). When on, service
-    /// drivers maintain the round's scheduling state incrementally —
-    /// delta forecast capture ([`grads_nws::ForecastSnapshot::capture_delta`]),
-    /// a persistent [`crate::SnapshotIndex`] repaired from the snapshot
-    /// delta instead of re-sorted per job, and a reusable mapping plan
-    /// with per-cluster free-host bitsets and a within-round placement
-    /// memo. Every decision, ledger, and bench byte is bit-identical to
-    /// the rebuilt-per-job path; only the cost of reaching them changes.
-    pub epoch: bool,
 }
 
 impl Default for SchedTune {
@@ -64,7 +59,6 @@ impl Default for SchedTune {
             path: DecisionPath::default(),
             workers: 1,
             attr_alpha_milli: 0,
-            epoch: false,
         }
     }
 }
@@ -76,7 +70,6 @@ impl SchedTune {
             path: DecisionPath::Reference,
             workers: 1,
             attr_alpha_milli: 0,
-            epoch: false,
         }
     }
 
@@ -86,7 +79,6 @@ impl SchedTune {
             path: DecisionPath::Fast,
             workers: 1,
             attr_alpha_milli: 0,
-            epoch: false,
         }
     }
 
@@ -96,14 +88,7 @@ impl SchedTune {
             path: DecisionPath::Fast,
             workers: workers.max(1),
             attr_alpha_milli: 0,
-            epoch: false,
         }
-    }
-
-    /// This tune with incremental decision epochs switched `on`.
-    pub fn with_epoch(mut self, on: bool) -> Self {
-        self.epoch = on;
-        self
     }
 
     /// This tune with attribution feedback at strength

@@ -25,7 +25,7 @@
 //! still `O(n²)` in closure work; write a real [`PrefixPredictor`] for
 //! the `O(n)` path).
 
-use crate::epoch::{HostBitset, SnapshotIndex};
+use crate::epoch::{ClusterOrder, HostBitset, SnapshotIndex};
 use crate::mpi_sched::{MpiPredictor, ResourceChoice};
 use crate::tune::{DecisionPath, SchedTune};
 use grads_nws::{ForecastSnapshot, ForecastSource, NwsService};
@@ -45,6 +45,31 @@ pub struct ClusterPrefixes {
     /// `hosts[i]`'s effective speed at walk-build time, aligned with
     /// `hosts`.
     pub speeds: Vec<f64>,
+}
+
+impl ClusterPrefixes {
+    /// The first `take` hosts of `order` that are set in `eligible`, in
+    /// index order, with their speeds. `take` must not exceed the
+    /// cluster's eligible count.
+    fn from_order(order: &ClusterOrder, eligible: &HostBitset, take: usize) -> Self {
+        let mut hosts = Vec::with_capacity(take);
+        let mut speeds = Vec::with_capacity(take);
+        for (&h, &s) in order.hosts.iter().zip(&order.speeds) {
+            if hosts.len() == take {
+                break;
+            }
+            if eligible.contains(h) {
+                hosts.push(h);
+                speeds.push(s);
+            }
+        }
+        debug_assert_eq!(hosts.len(), take, "eligible count out of sync with bitset");
+        ClusterPrefixes {
+            cluster: order.cluster,
+            hosts,
+            speeds,
+        }
+    }
 }
 
 /// Implicit enumeration of every candidate prefix, ready for incremental
@@ -111,7 +136,7 @@ impl CandidateWalk {
     }
 
     /// Enumerate candidates from a prebuilt [`SnapshotIndex`] instead of
-    /// re-sorting: walk each cluster's persistent order, keep hosts set
+    /// re-sorting: walk each cluster's prebuilt order, keep hosts set
     /// in `eligible`, and stop once `max_procs` of them are collected —
     /// `O(procs + skipped hosts)` per cluster instead of `O(H log H)`.
     ///
@@ -142,27 +167,13 @@ impl CandidateWalk {
         if min_procs <= max_procs {
             for (ci, order) in index.clusters().iter().enumerate() {
                 let avail = elig_counts[ci];
-                if avail < min_procs {
-                    continue;
+                if avail >= min_procs {
+                    clusters.push(ClusterPrefixes::from_order(
+                        order,
+                        eligible,
+                        max_procs.min(avail),
+                    ));
                 }
-                let take = max_procs.min(avail);
-                let mut hosts = Vec::with_capacity(take);
-                let mut speeds = Vec::with_capacity(take);
-                for (i, &h) in order.hosts.iter().enumerate() {
-                    if eligible.contains(h) {
-                        hosts.push(h);
-                        speeds.push(order.speeds[i]);
-                        if hosts.len() == take {
-                            break;
-                        }
-                    }
-                }
-                debug_assert_eq!(hosts.len(), take, "elig_counts out of sync with bitset");
-                clusters.push(ClusterPrefixes {
-                    cluster: order.cluster,
-                    hosts,
-                    speeds,
-                });
             }
         }
         CandidateWalk {
@@ -174,13 +185,12 @@ impl CandidateWalk {
 
     /// Score a *single* cluster of the index against `pred` and return
     /// its best `(prefix length, predicted)` — `None` when fewer than
-    /// `min_procs` hosts are eligible (the retention rule). This is the
-    /// memoizable unit of epoch-mode mapping: a cluster's best depends
-    /// only on its eligible prefix, the snapshot behind `index`, and the
-    /// predictor's inputs, so service drivers cache it per cluster and
-    /// recompute only when one of those moved. Bit-identical to scoring
-    /// the same cluster inside [`CandidateWalk::from_index`] (it is the
-    /// same collection and the same [`CandidateWalk::best_in_cluster`]).
+    /// `min_procs` hosts are eligible (the retention rule). Service
+    /// drivers call this per cluster and reduce the winners in
+    /// cluster-index order with first-wins ties, which replays
+    /// [`CandidateWalk::select`]'s argmin. Bit-identical to scoring the
+    /// same cluster inside [`CandidateWalk::from_index`] (it is the same
+    /// collection and the same [`CandidateWalk::best_in_cluster`]).
     pub fn score_cluster_from_index<P: PrefixPredictor>(
         index: &SnapshotIndex,
         ci: usize,
@@ -195,25 +205,12 @@ impl CandidateWalk {
             return None;
         }
         let order = &index.clusters()[ci];
-        let take = max_procs.min(avail);
-        let mut hosts = Vec::with_capacity(take);
-        let mut speeds = Vec::with_capacity(take);
-        for (i, &h) in order.hosts.iter().enumerate() {
-            if eligible.contains(h) {
-                hosts.push(h);
-                speeds.push(order.speeds[i]);
-                if hosts.len() == take {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(hosts.len(), take, "avail out of sync with bitset");
         let one = CandidateWalk {
-            clusters: vec![ClusterPrefixes {
-                cluster: order.cluster,
-                hosts,
-                speeds,
-            }],
+            clusters: vec![ClusterPrefixes::from_order(
+                order,
+                eligible,
+                max_procs.min(avail),
+            )],
             min_procs,
             max_procs,
         };

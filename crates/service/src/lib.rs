@@ -40,6 +40,9 @@ pub mod workload;
 
 pub use accounting::{Accounting, TenantAccount};
 pub use plan::MappingPlan;
-pub use service::{percentile, run_service_experiment, service_grid, ServiceConfig, ServiceResult};
+pub use service::{
+    percentile, run_service_experiment, service_grid, ServiceConfig, ServiceConfigError,
+    ServiceResult,
+};
 pub use spans::{JobPhase, JobSpan, SpanLog, MARKET_TENANT};
 pub use workload::{generate_workload, AppKind, Job, WorkloadConfig};

@@ -1,64 +1,42 @@
-//! The reusable mapping plan: per-cluster free-host state and a
-//! placement memo, maintained `O(Δ)` instead of rebuilt per job.
+//! The service's mapping plan: the live free-host state every job of a
+//! dispatch round is mapped under, maintained `O(Δ)` instead of rebuilt
+//! per job.
 //!
-//! Without the plan, every job examined in a dispatch round pays an
-//! `O(hosts)` scan of `free_cores` to build its eligibility list and an
-//! `O(hosts log hosts)` per-cluster re-sort inside the candidate walk —
-//! even though at most `procs` hosts change occupancy per admission and
-//! the forecast snapshot is frozen for the whole round. [`MappingPlan`]
-//! keeps what those rebuilds recompute:
+//! Mapping a job needs two things: the hosts with at least one free
+//! core, and each cluster's hosts in walk order (forecast speed
+//! descending, host id ascending) under the round's frozen
+//! [`ForecastSnapshot`]. Rebuilding both per job costs an `O(hosts)`
+//! scan of `free_cores` plus an `O(hosts log hosts)` per-cluster sort,
+//! although at most `procs` hosts change occupancy per admission and the
+//! snapshot never changes within a round. So the service keeps:
 //!
-//! * a free-host [`HostBitset`] plus per-cluster eligible counts and a
-//!   grid-wide free-host count, updated only on the `0 ↔ 1` free-core
-//!   transitions of admit/retire (a host with 2 free cores going to 1 is
-//!   still eligible — no update);
-//! * per-cluster **stamps**: a logical clock value recording when the
-//!   cluster's mapping-relevant state last changed. A stamp is bumped by
-//!   an eligibility transition in the cluster, by a forecast change on
-//!   one of its hosts (the delta-capture dirty set), or — conservatively,
-//!   for all clusters at once — by a dirty network pair (cross-cluster
-//!   transfer estimates feed every cluster's broadcast leg in general);
-//! * a placement **memo** keyed by `(app class, procs, flops bits,
-//!   broadcast bits)` holding per-cluster `(prefix length, predicted)`
-//!   scores, each tagged with the cluster stamp it was computed under.
-//!   A lookup reuses exactly the columns whose stamp still matches and
-//!   recomputes the rest through the persistent
-//!   [`grads_sched::SnapshotIndex`] — so an admission invalidates
-//!   precisely the clusters it touched, nothing else.
+//! * one [`SnapshotIndex`] per round, sorted once from the round's
+//!   snapshot at its first mapping decision (rounds that decide nothing
+//!   build nothing);
+//! * this [`MappingPlan`]: a free-host [`HostBitset`] plus per-cluster
+//!   eligible counts and a grid-wide free-host count, updated only on the
+//!   `0 ↔ 1` free-core transitions of admit/retire (a host going from 2
+//!   free cores to 1 is still eligible — no update).
 //!
-//! Bit-identity: a memo column is reused only when nothing a recompute
-//! would read has changed (same eligible prefix, same snapshot bits, same
-//! model inputs), recomputation itself goes through
-//! [`grads_sched::CandidateWalk::score_cluster_from_index`] (the same
-//! scoring code as a fresh walk), and the cross-cluster argmin below
-//! replays the walk's cluster-index-order first-wins reduction. The
-//! service determinism suite pins the end-to-end equality.
-
-use std::collections::HashMap;
+//! [`MappingPlan::map`] scores every cluster through
+//! [`CandidateWalk::score_cluster_from_index`] and reduces the winners in
+//! cluster-index order with first-wins ties. Bit-identity with the fresh
+//! walk ([`grads_sched::select_mpi_resources_fast`]): the walk comparator
+//! is a unique total order, so the index order filtered by the bitset is
+//! the fresh walk's filter-then-sort order; the per-cluster scoring is
+//! the same [`CandidateWalk::best_in_cluster`]; and the reduction is the
+//! walk's argmin. The unit tests below and the service determinism suite
+//! pin the equality.
 
 use grads_nws::ForecastSnapshot;
-use grads_obs::Obs;
 use grads_perf::TreeBcastPrefix;
-use grads_sched::{CandidateWalk, HostBitset, RepairReport, ResourceChoice, SnapshotIndex};
+use grads_sched::{CandidateWalk, HostBitset, ResourceChoice, SnapshotIndex};
 use grads_sim::prelude::*;
 
 use crate::workload::Job;
 
-/// Memo capacity guard: when the key set reaches this size the memo is
-/// cleared wholesale (deterministically) rather than grown without bound.
-const MEMO_MAX_KEYS: usize = 8192;
-
-#[derive(Debug, Clone, Copy)]
-struct MemoCol {
-    /// Cluster stamp the score was computed under (`0` = never).
-    stamp: u64,
-    /// The cluster's best `(prefix length, predicted)`, `None` when the
-    /// cluster could not seat the job at computation time.
-    best: Option<(usize, f64)>,
-}
-
-/// Incrementally-maintained mapping state for one service run. See the
-/// module docs for the invalidation rules and the identity argument.
+/// Live free-host state for one service run. See the module docs for
+/// the update rule and the identity argument.
 pub struct MappingPlan {
     /// Hosts with at least one free core.
     free: HostBitset,
@@ -66,29 +44,16 @@ pub struct MappingPlan {
     elig_count: Vec<usize>,
     /// Host id → cluster index.
     cluster_of: Vec<u32>,
-    /// Grid-wide free-host count — the `eligible.len()` of the rebuilt
-    /// path, without the scan.
+    /// Grid-wide free-host count.
     free_hosts: usize,
-    /// Per-cluster last-changed stamps.
-    stamps: Vec<u64>,
-    /// Logical clock behind the stamps.
-    clock: u64,
-    memo: HashMap<(u8, usize, u64, u64), Vec<MemoCol>>,
-    // `svc.epoch.*` counter state, published once at end of run.
-    memo_hits: u64,
-    memo_misses: u64,
-    elig_updates: u64,
-    index_repairs: u64,
-    index_rebuilds: u64,
 }
 
 impl MappingPlan {
     /// Derive the initial free state from the live `free_cores` table.
     pub fn new(grid: &Grid, free_cores: &[u32]) -> Self {
         let n_hosts = grid.hosts().len();
-        let n_clusters = grid.clusters().len();
         let mut free = HostBitset::new(n_hosts);
-        let mut elig_count = vec![0usize; n_clusters];
+        let mut elig_count = vec![0usize; grid.clusters().len()];
         let mut cluster_of = vec![0u32; n_hosts];
         let mut free_hosts = 0usize;
         for (ci, cluster) in grid.clusters().iter().enumerate() {
@@ -106,33 +71,27 @@ impl MappingPlan {
             elig_count,
             cluster_of,
             free_hosts,
-            stamps: vec![1; n_clusters],
-            clock: 1,
-            memo: HashMap::new(),
-            memo_hits: 0,
-            memo_misses: 0,
-            elig_updates: 0,
-            index_repairs: 0,
-            index_rebuilds: 0,
         }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Number of hosts with at least one free core — what the rebuilt
-    /// path's `eligible.len()` would be.
+    /// Number of hosts with at least one free core.
     pub fn free_host_count(&self) -> usize {
         self.free_hosts
+    }
+
+    /// The hosts with at least one free core, ascending — the eligible
+    /// list the reference decision path takes.
+    pub fn free_hosts(&self) -> Vec<HostId> {
+        (0..self.cluster_of.len() as u32)
+            .map(HostId)
+            .filter(|&h| self.free.contains(h))
+            .collect()
     }
 
     /// Record a host crossing the eligibility boundary: `free = false`
     /// when its last free core was taken (admit), `true` when a core
     /// freed up on a fully-busy host (retire). Calls for non-boundary
-    /// core transitions must be omitted by the driver — a host going from
-    /// 2 free cores to 1 is still eligible and invalidates nothing.
+    /// core transitions must be omitted by the driver.
     pub fn set_host_free(&mut self, h: HostId, free: bool) {
         let changed = if free {
             self.free.insert(h)
@@ -148,82 +107,26 @@ impl MappingPlan {
             self.elig_count[ci] -= 1;
             self.free_hosts -= 1;
         }
-        self.stamps[ci] = self.tick();
-        self.elig_updates += 1;
     }
 
-    /// Absorb a round's forecast delta: bump the stamp of every cluster
-    /// holding a dirty host; a dirty network pair bumps every cluster
-    /// (transfer estimates are cross-cluster state).
-    pub fn on_weather(&mut self, dirty_hosts: &[HostId], network_dirty: bool) {
-        if network_dirty {
-            let s = self.tick();
-            self.stamps.fill(s);
-            return;
-        }
-        for &h in dirty_hosts {
-            let ci = self.cluster_of[h.0 as usize] as usize;
-            self.stamps[ci] = self.tick();
-        }
-    }
-
-    /// Fold a [`SnapshotIndex::repair`] outcome into the counters.
-    pub fn note_repair(&mut self, rep: RepairReport) {
-        if rep.rebuilt {
-            self.index_rebuilds += 1;
-        }
-        self.index_repairs += rep.moved as u64;
-    }
-
-    /// Map `job` through the memo + persistent index: per cluster, reuse
-    /// the cached score when the cluster's stamp is unchanged, recompute
-    /// it through the index otherwise, then reduce in cluster-index order
-    /// with first-wins ties — the candidate walk's exact argmin.
+    /// Map `job` onto exactly `job.procs` free hosts: per cluster, score
+    /// the free prefix of `index`'s order, then reduce in cluster-index
+    /// order with first-wins ties — the candidate walk's exact argmin.
+    /// `index` must have been built from `snap`.
     pub fn map(
-        &mut self,
+        &self,
         job: &Job,
         index: &SnapshotIndex,
         grid: &Grid,
         snap: &ForecastSnapshot,
     ) -> Option<ResourceChoice> {
-        let key = (
-            job.kind as u8,
-            job.procs,
-            job.flops.to_bits(),
-            job.bcast_bytes.to_bits(),
-        );
-        let n_clusters = self.stamps.len();
-        if !self.memo.contains_key(&key) && self.memo.len() >= MEMO_MAX_KEYS {
-            self.memo.clear();
-        }
-        let cols = self.memo.entry(key).or_insert_with(|| {
-            vec![
-                MemoCol {
-                    stamp: 0,
-                    best: None
-                };
-                n_clusters
-            ]
-        });
         let mut pred = TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes);
         let mut best: Option<(usize, usize, f64)> = None;
-        for (ci, col) in cols.iter_mut().enumerate() {
-            if col.stamp == self.stamps[ci] {
-                self.memo_hits += 1;
-            } else {
-                col.best = CandidateWalk::score_cluster_from_index(
-                    index,
-                    ci,
-                    &self.free,
-                    self.elig_count[ci],
-                    job.procs,
-                    job.procs,
-                    &mut pred,
-                );
-                col.stamp = self.stamps[ci];
-                self.memo_misses += 1;
-            }
-            if let Some((k, t)) = col.best {
+        for (ci, &avail) in self.elig_count.iter().enumerate() {
+            let scored = CandidateWalk::score_cluster_from_index(
+                index, ci, &self.free, avail, job.procs, job.procs, &mut pred,
+            );
+            if let Some((k, t)) = scored {
                 match best {
                     Some((_, _, bt)) if bt <= t => {}
                     _ => best = Some((ci, k, t)),
@@ -236,16 +139,6 @@ impl MappingPlan {
             cluster: ClusterId(ci as u32),
         })
     }
-
-    /// Publish the `svc.epoch.*` counters. Zero-perturbation like every
-    /// other metric: reads accumulated integers, computes nothing new.
-    pub fn publish(&self, obs: &Obs) {
-        obs.counter_add("svc.epoch.index_repairs", self.index_repairs);
-        obs.counter_add("svc.epoch.index_rebuilds", self.index_rebuilds);
-        obs.counter_add("svc.epoch.memo_hits", self.memo_hits);
-        obs.counter_add("svc.epoch.memo_misses", self.memo_misses);
-        obs.counter_add("svc.epoch.elig_updates", self.elig_updates);
-    }
 }
 
 #[cfg(test)]
@@ -255,15 +148,18 @@ mod tests {
     use grads_nws::NwsService;
     use grads_sched::select_mpi_resources_fast;
 
-    fn setup() -> (Grid, NwsService) {
-        let grid = service_grid(48, 4, 2);
-        let mut nws = NwsService::new();
-        for i in 0..48u32 {
-            for j in 0..8 {
-                nws.observe_cpu(HostId(i), 0.3 + 0.05 * ((i * 3 + j) % 11) as f64);
-            }
+    /// Deterministic xorshift stream for the churn schedule.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
         }
-        (grid, nws)
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
     }
 
     fn job(procs: usize, flops: f64, bytes: f64) -> Job {
@@ -281,131 +177,99 @@ mod tests {
         }
     }
 
-    /// The plan's mapping equals the fresh walk across an admit/retire
-    /// sequence, and the memo actually reuses columns when nothing moved.
-    #[test]
-    fn plan_map_matches_fresh_walk_through_occupancy_churn() {
-        let (grid, nws) = setup();
-        let snap = ForecastSnapshot::capture(&grid, &nws);
-        let index = SnapshotIndex::build(&grid, &snap);
+    /// The memo-free plan on a freshly built index equals the library's
+    /// fresh walk bit for bit, through randomized admit/retire churn,
+    /// varied job shapes, and weather that moves between rounds. With
+    /// `observe = false` the NWS stays empty, so every host runs at its
+    /// cluster's base speed: ties within every cluster (and between
+    /// clusters 0 and 7) exercise the host-id tie rule and the
+    /// first-wins cluster reduction.
+    fn churn_matches_fresh_walk(seed: u64, hosts: usize, clusters: usize, observe: bool) {
+        let grid = service_grid(hosts, clusters, 2);
+        let mut rng = Rng(seed);
+        let mut nws = NwsService::new();
         let mut free_cores: Vec<u32> = grid.hosts().iter().map(|h| h.cores).collect();
         let mut plan = MappingPlan::new(&grid, &free_cores);
-        let jobs = [
-            job(3, 2e12, 1.5e7),
-            job(2, 5e11, 1e6),
-            job(3, 2e12, 1.5e7), // same key as the first: memo-hit material
-            job(4, 8e12, 3e7),
-            job(1, 1e11, 0.0),
-        ];
-        let mut occupied: Vec<Vec<HostId>> = Vec::new();
-        for (step, j) in jobs.iter().enumerate() {
-            let eligible: Vec<HostId> = (0..48u32)
-                .map(HostId)
-                .filter(|h| free_cores[h.0 as usize] > 0)
-                .collect();
-            let reference = select_mpi_resources_fast(
-                &grid,
-                &snap,
-                &eligible,
-                j.procs,
-                j.procs,
-                || TreeBcastPrefix::new(&grid, &snap, j.flops, j.bcast_bytes),
-                1,
-            );
-            let got = plan.map(j, &index, &grid, &snap);
-            match (&reference, &got) {
-                (Some(r), Some(g)) => {
-                    assert_eq!(r.hosts, g.hosts, "step {step}");
-                    assert_eq!(r.cluster, g.cluster);
-                    assert_eq!(r.predicted.to_bits(), g.predicted.to_bits());
+        let mut running: Vec<Vec<HostId>> = Vec::new();
+        let (mut mapped, mut unplaced) = (0, 0);
+        for round in 0..24u64 {
+            if observe {
+                for i in 0..hosts as u32 {
+                    let free = free_cores[i as usize] as f64 / 2.0;
+                    let jitter = rng.below(1000) as f64 / 1000.0;
+                    nws.observe_cpu(HostId(i), (0.35 + 0.6 * free) * (0.7 + 0.3 * jitter));
                 }
-                (None, None) => {}
-                _ => panic!("presence mismatch at step {step}"),
             }
-            // Admit: occupy the chosen hosts.
-            if let Some(c) = got {
+            let snap = ForecastSnapshot::capture(&grid, &nws);
+            let index = SnapshotIndex::build(&grid, &snap);
+            for step in 0..12 {
+                if !running.is_empty() && rng.below(3) == 0 {
+                    let hosts = running.swap_remove(rng.below(running.len() as u64) as usize);
+                    for h in hosts {
+                        free_cores[h.0 as usize] += 1;
+                        if free_cores[h.0 as usize] == 1 {
+                            plan.set_host_free(h, true);
+                        }
+                    }
+                    continue;
+                }
+                let j = job(
+                    1 + rng.below(hosts as u64 / clusters as u64 + 2) as usize,
+                    [1e11, 2e12, 8e12][rng.below(3) as usize],
+                    [0.0, 1e6, 1.5e7][rng.below(3) as usize],
+                );
+                let eligible: Vec<HostId> = (0..hosts as u32)
+                    .map(HostId)
+                    .filter(|h| free_cores[h.0 as usize] > 0)
+                    .collect();
+                assert_eq!(plan.free_hosts(), eligible);
+                assert_eq!(plan.free_host_count(), eligible.len());
+                let fresh = select_mpi_resources_fast(
+                    &grid,
+                    &snap,
+                    &eligible,
+                    j.procs,
+                    j.procs,
+                    || TreeBcastPrefix::new(&grid, &snap, j.flops, j.bcast_bytes),
+                    1,
+                );
+                let got = plan.map(&j, &index, &grid, &snap);
+                let at = format!("seed {seed} round {round} step {step} procs {}", j.procs);
+                match (&fresh, &got) {
+                    (Some(f), Some(g)) => {
+                        assert_eq!(f.hosts, g.hosts, "{at}");
+                        assert_eq!(f.cluster, g.cluster, "{at}");
+                        assert_eq!(f.predicted.to_bits(), g.predicted.to_bits(), "{at}");
+                    }
+                    (None, None) => {}
+                    _ => panic!("presence mismatch at {at}"),
+                }
+                let Some(c) = got else {
+                    unplaced += 1;
+                    continue;
+                };
+                mapped += 1;
                 for &h in &c.hosts {
                     free_cores[h.0 as usize] -= 1;
                     if free_cores[h.0 as usize] == 0 {
                         plan.set_host_free(h, false);
                     }
                 }
-                occupied.push(c.hosts);
+                running.push(c.hosts);
             }
         }
-        assert!(plan.memo_hits > 0, "repeated keys must hit the memo");
-        // Retire everything and re-map: still identical to fresh.
-        for hosts in occupied.drain(..) {
-            for h in hosts {
-                free_cores[h.0 as usize] += 1;
-                if free_cores[h.0 as usize] == 1 {
-                    plan.set_host_free(h, true);
-                }
-            }
-        }
-        let j = job(3, 2e12, 1.5e7);
-        let all: Vec<HostId> = (0..48).map(HostId).collect();
-        let reference = select_mpi_resources_fast(
-            &grid,
-            &snap,
-            &all,
-            3,
-            3,
-            || TreeBcastPrefix::new(&grid, &snap, j.flops, j.bcast_bytes),
-            1,
-        )
-        .unwrap();
-        let got = plan.map(&j, &index, &grid, &snap).unwrap();
-        assert_eq!(reference.hosts, got.hosts);
-        assert_eq!(reference.predicted.to_bits(), got.predicted.to_bits());
+        assert!(
+            mapped > 20,
+            "seed {seed}: the schedule places jobs ({mapped})"
+        );
+        assert!(unplaced > 0, "seed {seed}: the grid fills up at times");
     }
 
-    /// Weather deltas invalidate exactly the touched clusters' columns.
     #[test]
-    fn weather_invalidation_is_per_cluster() {
-        let (grid, mut nws) = setup();
-        nws.enable_delta_tracking();
-        let snap0 = ForecastSnapshot::capture_sync(&grid, &mut nws);
-        let mut index = SnapshotIndex::build(&grid, &snap0);
-        let free_cores: Vec<u32> = grid.hosts().iter().map(|h| h.cores).collect();
-        let mut plan = MappingPlan::new(&grid, &free_cores);
-        let j = job(2, 1e12, 5e6);
-        plan.map(&j, &index, &grid, &snap0);
-        let misses0 = plan.memo_misses;
-        assert_eq!(misses0, 4, "cold memo computes every cluster");
-
-        // Dirty one host in cluster 0 only.
-        nws.observe_cpu(HostId(0), 0.9);
-        let dirty = nws.dirty_hosts();
-        let net = nws.has_dirty_network();
-        let snap1 = ForecastSnapshot::capture_delta(&grid, &mut nws, &snap0);
-        plan.note_repair(index.repair(&grid, &snap1, &dirty));
-        plan.on_weather(&dirty, net);
-        let got = plan.map(&j, &index, &grid, &snap1);
-        assert_eq!(
-            plan.memo_misses - misses0,
-            1,
-            "only the dirtied cluster recomputes"
-        );
-        assert_eq!(plan.memo_hits, 3);
-        // And the result still equals a fresh walk against the new snap.
-        let all: Vec<HostId> = (0..48).map(HostId).collect();
-        let reference = select_mpi_resources_fast(
-            &grid,
-            &snap1,
-            &all,
-            2,
-            2,
-            || TreeBcastPrefix::new(&grid, &snap1, j.flops, j.bcast_bytes),
-            1,
-        );
-        match (&reference, &got) {
-            (Some(r), Some(g)) => {
-                assert_eq!(r.hosts, g.hosts);
-                assert_eq!(r.predicted.to_bits(), g.predicted.to_bits());
-            }
-            (None, None) => {}
-            _ => panic!("presence mismatch"),
+    fn plan_map_matches_fresh_walk_through_occupancy_churn() {
+        for seed in [0x9e3779b97f4a7c15, 7, 1 << 40, 0xdead_beef] {
+            churn_matches_fresh_walk(seed, 48, 4, true);
+            churn_matches_fresh_walk(seed, 32, 8, false);
         }
     }
 }

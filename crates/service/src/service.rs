@@ -13,9 +13,12 @@
 //! 4. clears the commodities market (supply = free slots, demand = the
 //!    queue's budget rates) to get the round's slot-second price;
 //! 5. walks the queue earliest-deadline-first and, for each job, maps it
-//!    with the `SchedTune` decision path (reference or fast/parallel —
-//!    bit-identical by the decision-path contract), then admits, defers,
-//!    or rejects:
+//!    with the `SchedTune` decision path (bit-identical by the
+//!    decision-path contract), then admits, defers, or rejects. The fast
+//!    path sorts each cluster once per round into a
+//!    [`grads_sched::SnapshotIndex`] and walks it per job under the live
+//!    free-host state of [`crate::plan::MappingPlan`]; the reference path
+//!    re-sorts per job against the live NWS:
 //!    * **reject** if the snapshot-based completion estimate misses the
 //!      deadline (running it would only burn slots on a lost SLO);
 //!    * **defer** if the job is affordable later (market price above its
@@ -45,8 +48,8 @@ use grads_nws::{ForecastSnapshot, NwsService};
 use grads_obs::Obs;
 use grads_perf::TreeBcastPrefix;
 use grads_sched::{
-    auction_allocate, price_volatility, select_mpi_resources, select_mpi_resources_fast,
-    CommodityMarket, Consumer, DecisionPath, Producer, SchedTune, SnapshotIndex, AUCTION_EPS,
+    auction_allocate, price_volatility, select_mpi_resources, CommodityMarket, Consumer,
+    DecisionPath, Producer, ResourceChoice, SchedTune, SnapshotIndex, AUCTION_EPS,
 };
 use grads_sim::prelude::*;
 use parking_lot::Mutex;
@@ -114,6 +117,73 @@ impl Default for ServiceConfig {
             spans: SpanLog::disabled(),
             t_max: 1.0e7,
         }
+    }
+}
+
+/// Why a [`ServiceConfig`] cannot be served. Each variant names a grid
+/// shape or round period the dispatcher cannot run: it would divide by
+/// zero, silently drop hosts, or never advance virtual time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServiceConfigError {
+    /// `clusters == 0`: there is no cluster to put hosts in.
+    NoClusters,
+    /// Fewer hosts than clusters: some cluster would be empty.
+    FewerHostsThanClusters {
+        /// Configured host count.
+        hosts: usize,
+        /// Configured cluster count.
+        clusters: usize,
+    },
+    /// Hosts do not split evenly: the remainder would be dropped.
+    UnevenClusters {
+        /// Configured host count.
+        hosts: usize,
+        /// Configured cluster count.
+        clusters: usize,
+    },
+    /// A round period that is zero, negative or non-finite: the
+    /// dispatcher would never advance (or would jump past) virtual time.
+    BadRoundPeriod(f64),
+}
+
+impl std::fmt::Display for ServiceConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceConfigError::NoClusters => write!(f, "clusters must be at least 1"),
+            ServiceConfigError::FewerHostsThanClusters { hosts, clusters } => write!(
+                f,
+                "hosts ({hosts}) must be at least clusters ({clusters}): every cluster needs a host"
+            ),
+            ServiceConfigError::UnevenClusters { hosts, clusters } => write!(
+                f,
+                "hosts ({hosts}) must be a multiple of clusters ({clusters}): hosts are split evenly"
+            ),
+            ServiceConfigError::BadRoundPeriod(r) => {
+                write!(f, "round_s ({r}) must be positive and finite")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServiceConfigError {}
+
+impl ServiceConfig {
+    /// Check the grid shape and round period before anything runs.
+    pub fn validate(&self) -> Result<(), ServiceConfigError> {
+        let (hosts, clusters) = (self.hosts, self.clusters);
+        if clusters == 0 {
+            return Err(ServiceConfigError::NoClusters);
+        }
+        if hosts < clusters {
+            return Err(ServiceConfigError::FewerHostsThanClusters { hosts, clusters });
+        }
+        if hosts % clusters != 0 {
+            return Err(ServiceConfigError::UnevenClusters { hosts, clusters });
+        }
+        if !(self.round_s.is_finite() && self.round_s > 0.0) {
+            return Err(ServiceConfigError::BadRoundPeriod(self.round_s));
+        }
+        Ok(())
     }
 }
 
@@ -230,50 +300,47 @@ struct Running {
     deadline_abs: f64,
 }
 
-/// Incremental decision-epoch state ([`SchedTune::epoch`]): the
-/// persistent per-cluster host orderings and the reusable mapping plan,
-/// plus the previous round's snapshot (the delta-capture baseline).
-/// Built at the first dispatch round, maintained `O(Δ)` afterwards.
-struct EpochState {
-    index: SnapshotIndex,
-    plan: MappingPlan,
-    prev_snap: ForecastSnapshot,
-}
-
-/// Map `job` onto `eligible` hosts through the tuned decision path. Both
-/// paths read the same frozen `snap` (the reference path's live-service
-/// sort sees bitwise-equal values because nothing observes between
-/// capture and selection), so the choice is bit-identical across tunes.
+/// Map `job` through the tuned decision path. Both paths read the same
+/// frozen `snap` (the reference path's live-service sort sees
+/// bitwise-equal values because nothing observes between capture and
+/// selection) and the same free hosts, so the choice is bit-identical
+/// across tunes. The fast path sorts the round's `index` from `snap` on
+/// its first call.
 fn map_job(
     job: &Job,
     grid: &Grid,
     nws: &NwsService,
     snap: &ForecastSnapshot,
-    eligible: &[HostId],
-    tune: SchedTune,
-) -> Option<grads_sched::ResourceChoice> {
-    match tune.path {
+    plan: &MappingPlan,
+    index: &mut Option<SnapshotIndex>,
+    path: DecisionPath,
+) -> Option<ResourceChoice> {
+    match path {
         DecisionPath::Reference => {
             let predict = |hs: &[HostId], grid: &Grid, _n: &NwsService| {
                 TreeBcastPrefix::reference(hs, grid, snap, job.flops, job.bcast_bytes)
             };
-            select_mpi_resources(grid, nws, eligible, job.procs, job.procs, &predict)
+            let eligible = plan.free_hosts();
+            select_mpi_resources(grid, nws, &eligible, job.procs, job.procs, &predict)
         }
-        DecisionPath::Fast => select_mpi_resources_fast(
-            grid,
-            snap,
-            eligible,
-            job.procs,
-            job.procs,
-            || TreeBcastPrefix::new(grid, snap, job.flops, job.bcast_bytes),
-            tune.workers,
-        ),
+        DecisionPath::Fast => {
+            let index = index.get_or_insert_with(|| SnapshotIndex::build(grid, snap));
+            plan.map(job, index, grid, snap)
+        }
     }
 }
 
 /// Run the full service experiment: generate the stream, serve it to
 /// drain, return the ledgers and the service-level metrics.
+///
+/// # Panics
+///
+/// When [`ServiceConfig::validate`] rejects `cfg`, with the error's
+/// message, before anything is built or spawned.
 pub fn run_service_experiment(cfg: ServiceConfig) -> ServiceResult {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid ServiceConfig: {e}");
+    }
     let grid = service_grid(cfg.hosts, cfg.clusters, cfg.cores_per_host);
     let mut eng = Engine::new(grid.clone());
     eng.apply_tune(cfg.tune);
@@ -301,12 +368,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
 
     // NWS seeded with a short deterministic history per host so the
     // ensemble has something to select predictors on from round one.
-    // Epoch mode turns on delta tracking first, so the seed history is
-    // already part of the dirty-set baseline bookkeeping.
     let mut nws = NwsService::new();
-    if cfg.sched.epoch {
-        nws.enable_delta_tracking();
-    }
     for i in 0..n_hosts {
         for j in 0..6u64 {
             nws.observe_cpu(HostId(i as u32), 0.55 + 0.4 * jitter(i, j));
@@ -321,6 +383,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     let mut running_jobs: Vec<Option<Running>> = Vec::new();
     let mut free_cores: Vec<u32> = grid.hosts().iter().map(|h| h.cores).collect();
     let total_slots: f64 = free_cores.iter().map(|&c| c as f64).sum();
+    let mut plan = MappingPlan::new(grid, &free_cores);
 
     let mut market = CommodityMarket::default();
     let mut price_series: Vec<f64> = Vec::new();
@@ -336,7 +399,6 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     let mut high_water_rounds = 0u64;
     let mut end_time = 0.0f64;
     let mut t_last = 0.0f64;
-    let mut epoch_state: Option<EpochState> = None;
 
     // Lifecycle spans use only timestamps the decisions already computed
     // (round time, submit time, modeled finish) — no clock reads, so the
@@ -372,9 +434,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 free_cores[h.0 as usize] += 1;
                 if free_cores[h.0 as usize] == 1 {
                     // 0 → 1: the host just became eligible again.
-                    if let Some(st) = epoch_state.as_mut() {
-                        st.plan.set_host_free(h, true);
-                    }
+                    plan.set_host_free(h, true);
                 }
             }
             in_flight -= 1;
@@ -437,35 +497,10 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
             let avail = (0.35 + 0.6 * free_frac) * (0.7 + 0.3 * jitter(i, rounds));
             nws.observe_cpu(HostId(i as u32), avail);
         }
-        // Epoch mode captures incrementally (bit-identical to a full
-        // capture — the delta-capture contract) and repairs the
-        // persistent index from the same dirty set; the reference path
-        // re-captures from scratch. Both serve the identical snapshot.
-        let snap = if cfg.sched.epoch {
-            let dirty = nws.dirty_hosts();
-            let net_dirty = nws.has_dirty_network();
-            match epoch_state.as_mut() {
-                None => {
-                    let snap = ForecastSnapshot::capture_sync(grid, &mut nws);
-                    epoch_state = Some(EpochState {
-                        index: SnapshotIndex::build(grid, &snap),
-                        plan: MappingPlan::new(grid, &free_cores),
-                        prev_snap: snap.clone(),
-                    });
-                    snap
-                }
-                Some(st) => {
-                    let snap = ForecastSnapshot::capture_delta(grid, &mut nws, &st.prev_snap);
-                    let rep = st.index.repair(grid, &snap, &dirty);
-                    st.plan.note_repair(rep);
-                    st.plan.on_weather(&dirty, net_dirty);
-                    st.prev_snap = snap.clone();
-                    snap
-                }
-            }
-        } else {
-            ForecastSnapshot::capture(grid, &nws)
-        };
+        let snap = ForecastSnapshot::capture(grid, &nws);
+        // The fast path's sorted per-cluster orders for this snapshot,
+        // built at the round's first mapping decision.
+        let mut index: Option<SnapshotIndex> = None;
 
         let free_slots: f64 = free_cores.iter().map(|&c| c as f64).sum();
 
@@ -556,31 +591,13 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                     continue;
                 }
             }
-            // Epoch mode answers the free-host check from the plan's
-            // running count and maps through the persistent index + memo;
-            // the reference path rebuilds the eligibility list and the
-            // walk from scratch. Decisions are bit-identical.
-            let mapped = if let Some(st) = epoch_state.as_mut() {
-                if st.plan.free_host_count() < q.job.procs {
-                    // defer: not enough free hosts anywhere
-                    jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
-                    continue;
-                }
-                decisions_this_round += 1;
-                st.plan.map(&q.job, &st.index, grid, &snap)
-            } else {
-                let eligible: Vec<HostId> = (0..n_hosts as u32)
-                    .map(HostId)
-                    .filter(|h| free_cores[h.0 as usize] > 0)
-                    .collect();
-                if eligible.len() < q.job.procs {
-                    // defer: not enough free hosts anywhere
-                    jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
-                    continue;
-                }
-                decisions_this_round += 1;
-                map_job(&q.job, grid, &nws, &snap, &eligible, cfg.sched)
-            };
+            if plan.free_host_count() < q.job.procs {
+                // defer: not enough free hosts anywhere
+                jspan(&q.job, JobPhase::Defer, Some("no-hosts"), t, t, 0.0);
+                continue;
+            }
+            decisions_this_round += 1;
+            let mapped = map_job(&q.job, grid, &nws, &snap, &plan, &mut index, cfg.sched.path);
             let Some(choice) = mapped else {
                 // defer: no cluster offers `procs` free hosts
                 jspan(&q.job, JobPhase::Defer, Some("no-cluster"), t, t, 0.0);
@@ -614,9 +631,7 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
                 free_cores[h.0 as usize] -= 1;
                 if free_cores[h.0 as usize] == 0 {
                     // 1 → 0: the host left the eligible set.
-                    if let Some(st) = epoch_state.as_mut() {
-                        st.plan.set_host_free(h, false);
-                    }
+                    plan.set_host_free(h, false);
                 }
             }
             let a = accounting.tenant_mut(q.job.tenant);
@@ -691,9 +706,6 @@ fn dispatcher(ctx: &mut Ctx, grid: &Grid, cfg: &ServiceConfig) -> ServiceResult 
     };
 
     accounting.publish(&cfg.obs);
-    if let Some(st) = &epoch_state {
-        st.plan.publish(&cfg.obs);
-    }
     cfg.obs.counter_add("svc.rounds", rounds);
     cfg.obs.counter_add("svc.auction_rounds", auction_rounds);
     cfg.obs.gauge_set("svc.max_in_flight", max_in_flight as f64);
@@ -848,22 +860,72 @@ mod tests {
         assert!(a.contains("\"name\":\"Price\""));
     }
 
+    /// `cfg` is rejected by `validate` with `want`, and
+    /// `run_service_experiment` fails with that error's message before it
+    /// spawns anything (a hang or a different panic fails the test).
+    /// Compared by message, so a NaN round period compares equal.
+    fn assert_rejected(cfg: ServiceConfig, want: ServiceConfigError) {
+        let want = want.to_string();
+        assert_eq!(cfg.validate().map_err(|e| e.to_string()), Err(want.clone()));
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_service_experiment(cfg)))
+                .expect_err("an invalid config must not run");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains(&want), "{msg:?}");
+    }
+
     #[test]
-    fn epoch_path_is_bit_identical_and_counts_its_work() {
-        // The tentpole contract: epoch on vs off must agree on every
-        // float bit of the result (ServiceResult's PartialEq is bitwise).
-        let r_off = run_service_experiment(small_cfg());
+    fn every_in_tree_config_shape_is_valid() {
+        assert_eq!(small_cfg().validate(), Ok(()));
+        assert_eq!(ServiceConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_clusters_is_rejected_not_a_division_by_zero() {
         let mut cfg = small_cfg();
-        cfg.sched = cfg.sched.with_epoch(true);
-        cfg.obs = Obs::enabled();
-        let obs = cfg.obs.clone();
-        let r_on = run_service_experiment(cfg);
-        assert_eq!(r_off, r_on, "epoch mode must not change any decision");
-        let json = obs.snapshot().to_json();
-        assert!(json.contains("\"svc.epoch.memo_misses\""), "{json}");
-        assert!(json.contains("\"svc.epoch.elig_updates\""));
-        assert!(json.contains("\"svc.epoch.index_repairs\""));
-        assert!(json.contains("\"svc.round.decisions\""));
+        cfg.clusters = 0;
+        assert_rejected(cfg, ServiceConfigError::NoClusters);
+    }
+
+    #[test]
+    fn fewer_hosts_than_clusters_is_rejected() {
+        let mut cfg = small_cfg();
+        cfg.hosts = 3;
+        assert_rejected(
+            cfg,
+            ServiceConfigError::FewerHostsThanClusters {
+                hosts: 3,
+                clusters: 4,
+            },
+        );
+    }
+
+    #[test]
+    fn uneven_cluster_split_is_rejected_not_truncated() {
+        let mut cfg = small_cfg();
+        cfg.hosts = 100;
+        cfg.clusters = 16;
+        assert_rejected(
+            cfg,
+            ServiceConfigError::UnevenClusters {
+                hosts: 100,
+                clusters: 16,
+            },
+        );
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_round_period_is_rejected_at_once() {
+        // round_s = 0 used to spin forever: sleeping 0 never advances
+        // virtual time.
+        for r in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = small_cfg();
+            cfg.round_s = r;
+            assert_rejected(cfg, ServiceConfigError::BadRoundPeriod(r));
+        }
     }
 
     #[test]

@@ -52,56 +52,6 @@ fn decision_paths_agree_bit_identically() {
 }
 
 #[test]
-fn epoch_path_agrees_with_every_decision_path_bit_identically() {
-    // The incremental-epoch tentpole: delta capture + persistent index +
-    // mapping plan must reproduce the rebuilt-per-job run exactly, and
-    // compose with the other tune axes.
-    let reference = run_service_experiment(cfg(13, SchedTune::reference()));
-    let fast = run_service_experiment(cfg(13, SchedTune::fast()));
-    let epoch = run_service_experiment(cfg(13, SchedTune::fast().with_epoch(true)));
-    assert_eq!(
-        reference.admitted_ids, epoch.admitted_ids,
-        "epoch mode must admit the identical job sequence"
-    );
-    assert_eq!(reference, epoch, "full result, reference vs epoch");
-    assert_eq!(fast, epoch, "full result, fast vs epoch");
-}
-
-#[test]
-fn epoch_obs_differs_only_in_epoch_counters() {
-    // Identity of the observable surface: filter the epoch-only
-    // `svc.epoch.*` counters and the snapshots must match line for line.
-    let snap = |sched: SchedTune| {
-        let mut c = cfg(5, sched);
-        c.obs = Obs::enabled();
-        let obs = c.obs.clone();
-        run_service_experiment(c);
-        obs.snapshot().to_json()
-    };
-    let off = snap(SchedTune::fast());
-    let on = snap(SchedTune::fast().with_epoch(true));
-    assert!(
-        on.contains("svc.epoch.memo_misses"),
-        "epoch mode publishes its counters: {on}"
-    );
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("svc.epoch."))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        strip(&off),
-        strip(&on),
-        "beyond svc.epoch.*, the obs surface must be identical"
-    );
-    assert!(
-        off.contains("svc.round.decisions") && on.contains("svc.round.decisions"),
-        "the decision-cost histogram is recorded on both paths"
-    );
-}
-
-#[test]
 fn obs_snapshot_is_bit_identical_across_reruns() {
     let snap = |seed: u64| {
         let mut c = cfg(seed, SchedTune::fast());
