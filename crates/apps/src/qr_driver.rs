@@ -392,10 +392,6 @@ pub struct QrExperimentConfig {
     /// and incarnation bridges for wait-state / critical-path analysis
     /// (same determinism contract as `obs`).
     pub recorder: Recorder,
-    /// Kernel substrate tuning (process transport + event queue). The
-    /// default (direct handoff, indexed queue) is the fast path; every
-    /// combination is bit-identical (see `tests/substrate_determinism.rs`).
-    pub tune: EngineTune,
     /// Scheduler decision-path tuning (snapshot + incremental scoring vs
     /// the seed reference loop). The default is the fast path; both are
     /// bit-identical end to end (see `tests/sched_path_determinism.rs`).
@@ -430,7 +426,6 @@ impl QrExperimentConfig {
             t_max: 100_000.0,
             obs: Obs::disabled(),
             recorder: Recorder::disabled(),
-            tune: EngineTune::default(),
             sched: SchedTune::default(),
         }
     }
@@ -471,7 +466,6 @@ fn sorted(hs: &[HostId]) -> Vec<HostId> {
 /// [`grads_sim::topology::macrogrid_qr`]).
 pub fn run_qr_experiment(grid: Grid, ecfg: QrExperimentConfig) -> QrExperimentResult {
     let mut eng = Engine::new(grid.clone());
-    eng.apply_tune(ecfg.tune);
     eng.set_obs(ecfg.obs.clone());
     eng.set_recorder(ecfg.recorder.clone());
     let all_hosts: Vec<HostId> = (0..grid.hosts().len() as u32).map(HostId).collect();

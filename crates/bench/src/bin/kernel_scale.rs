@@ -3,23 +3,25 @@
 //! exchanges over a WAN mesh, with a compute phase per round so both the
 //! CPU-sharing and the max-min-fair paths are exercised.
 //!
-//! Compares the three rate-recomputation modes:
+//! The kernel has one timing: churn marks dirty hosts and links, and one
+//! rate solve per virtual instant re-derives the shares (coalesced
+//! recomputation). This binary compares the two solve scopes on it:
 //!
-//! * `Legacy` — the pre-change kernel: global re-solve over all links,
-//!   unconditional re-stamping of every action and flow, route `Vec`s
-//!   cloned on every recompute;
-//! * `Full` — scope-everything on the new per-component solver;
+//! * `Full` — every host and sharing component on each solve (the oracle);
 //! * `Incremental` — dirty-set scoped recomputation (the default).
 //!
-//! The applied-event count is mode-invariant (stale pops are not counted),
-//! so `events/sec = events_processed / wall` is an apples-to-apples
-//! throughput number. The run asserts that all modes agree on the
-//! simulation outcome before printing the table.
+//! Two payload shapes are measured. *Skewed* gives every pair its own size,
+//! so every transfer completes at its own instant. *Uniform* gives every
+//! transfer the same size, the shape of a synchronized `MPI_Alltoall`
+//! round: flows sharing a bottleneck finish in bitwise-identical waves and
+//! one solve absorbs each whole wave.
 //!
-//! Two further axes ride on the Incremental mode: a windowed-kernel worker
-//! sweep, and an eager-vs-coalesced recompute-*timing* A/B (churn marks
-//! dirty sets, one solve per virtual instant) — each asserted bit-identical
-//! to the serial eager reference before its throughput is recorded.
+//! The applied-event count is scope-invariant (stale pops are not
+//! counted), so `events/sec = events_processed / wall` is an
+//! apples-to-apples throughput number. Before anything is recorded the run
+//! asserts, per shape, that both scopes produce bit-identical reports,
+//! that reruns are deterministic, and that every churn notification is
+//! either solved or absorbed (`solves + absorbed == churn`).
 //!
 //! Usage: `cargo run --release -p grads-bench --bin kernel_scale [rounds]`
 
@@ -62,61 +64,17 @@ fn build_grid() -> (Grid, Vec<HostId>) {
     (b.build().expect("valid grid"), hosts)
 }
 
-/// Substrate under test: the default fast path (direct handoff + indexed
-/// queue), or a reverted substrate via `GRADS_KERNEL_TUNE` — `seed`
-/// (channel pair + stale-mark heap), `stale` (queue only), `channel`
-/// (transport only) — so before/after numbers for the substrate swap, and
-/// one-axis isolation runs, all come from the same binary.
-fn tune_from_env() -> EngineTune {
-    match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => EngineTune {
-            handoff: HandoffMode::Channel,
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        },
-        Ok("stale") => EngineTune {
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        },
-        Ok("channel") => EngineTune {
-            handoff: HandoffMode::Channel,
-            ..Default::default()
-        },
-        _ => EngineTune::default(),
-    }
-}
-
-fn run_once(mode: RecomputeMode, rounds: usize) -> (RunReport, f64) {
-    run_kernel(mode, rounds, KernelMode::Serial)
-}
-
-fn run_kernel(mode: RecomputeMode, rounds: usize, kernel: KernelMode) -> (RunReport, f64) {
-    run_tuned(mode, rounds, kernel, RecomputeTiming::Eager, false, None)
-}
-
-/// `uniform` selects the payload schedule: `false` keeps the historical
-/// skewed per-pair sizes (every transfer completes at its own instant —
-/// the worker-sweep workload all checked-in numbers are taken on), `true`
-/// gives every transfer the same size, the shape of a real synchronized
-/// `MPI_Alltoall` round — flows sharing a bottleneck then finish in
-/// bitwise-identical completion waves, the regime the coalesced flush
-/// collapses to one solve per instant.
-fn run_tuned(
+/// One run of the workload. `uniform` selects the payload shape (see the
+/// module doc); `obs` attaches a metrics sink (never on a timed run).
+fn run(
     mode: RecomputeMode,
     rounds: usize,
-    kernel: KernelMode,
-    timing: RecomputeTiming,
     uniform: bool,
     obs: Option<grads_core::obs::Obs>,
 ) -> (RunReport, f64) {
     let (grid, hosts) = build_grid();
     let mut eng = Engine::new(grid);
     eng.set_recompute_mode(mode);
-    eng.apply_tune(EngineTune {
-        kernel,
-        recompute: timing,
-        ..tune_from_env()
-    });
     if let Some(o) = obs {
         eng.set_obs(o);
     }
@@ -164,6 +122,68 @@ fn run_tuned(
     (report, secs)
 }
 
+/// What one payload shape measured.
+struct Shape {
+    report: RunReport,
+    full_rate: f64,
+    incremental_rate: f64,
+    churn: u64,
+    solves: u64,
+    absorbed: u64,
+    burst_mean: f64,
+    burst_max: f64,
+}
+
+/// Time both scopes on one payload shape (the faster of two runs each, to
+/// damp scheduler noise), asserting bit-identity and determinism first,
+/// then count churn and solves on an untimed obs-enabled run.
+fn measure(rounds: usize, uniform: bool) -> Shape {
+    let timed = |mode| {
+        let (r1, t1) = run(mode, rounds, uniform, None);
+        let (r2, t2) = run(mode, rounds, uniform, None);
+        assert_eq!(r1, r2, "{mode:?}: reruns must be bit-identical");
+        let rate = r1.events_processed as f64 / t1.min(t2);
+        (r1, rate)
+    };
+    let (full, full_rate) = timed(RecomputeMode::Full);
+    let (inc, incremental_rate) = timed(RecomputeMode::Incremental);
+    assert_eq!(
+        full, inc,
+        "Incremental must be bit-identical to the Full oracle"
+    );
+    let obs = grads_core::obs::Obs::enabled();
+    let (observed, _) = run(
+        RecomputeMode::Incremental,
+        rounds,
+        uniform,
+        Some(obs.clone()),
+    );
+    assert_eq!(observed, inc, "an obs-enabled run must not perturb results");
+    let snap = obs.snapshot();
+    let churn = snap.counter("sim.recomputes").unwrap_or(0);
+    let solves = snap.counter("sim.recompute.solves").unwrap_or(0);
+    let absorbed = snap.counter("sim.recompute.coalesced").unwrap_or(0);
+    assert_eq!(
+        solves + absorbed,
+        churn,
+        "every churn is either solved or absorbed"
+    );
+    let (burst_mean, burst_max) = snap
+        .histogram("sim.recompute.burst")
+        .map(|h| (h.mean(), h.max))
+        .unwrap_or((0.0, 0.0));
+    Shape {
+        report: inc,
+        full_rate,
+        incremental_rate,
+        churn,
+        solves,
+        absorbed,
+        burst_mean,
+        burst_max,
+    }
+}
+
 fn main() {
     let rounds: usize = std::env::args()
         .nth(1)
@@ -173,304 +193,71 @@ fn main() {
         "KERNEL-SCALE — {NPROC}-process all-to-all over a {CLUSTERS}-cluster WAN mesh, \
          {rounds} round(s)\n"
     );
+    // Warm-up run (allocator, thread spawning) before timing.
+    let _ = run(RecomputeMode::Incremental, 1, false, None);
 
-    let modes = [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ];
-    // Warm-up run (allocator, thread spawning) before timing; keep the
-    // faster of two timed runs per mode to damp scheduler noise.
-    let _ = run_once(RecomputeMode::Incremental, 1);
+    let skewed = measure(rounds, false);
+    let uniform = measure(rounds, true);
 
-    let mut rows = Vec::new();
-    for &mode in &modes {
-        let (r1, t1) = run_once(mode, rounds);
-        let (r2, t2) = run_once(mode, rounds);
-        assert_eq!(
-            r1.events_processed, r2.events_processed,
-            "{mode:?}: applied-event count must be deterministic"
-        );
-        rows.push((mode, r1, t1.min(t2)));
-    }
-
-    // All modes must simulate the same execution.
-    let (ref_end, ref_ev) = (rows[0].1.end_time, rows[0].1.events_processed);
-    for (mode, r, _) in &rows {
-        assert_eq!(
-            r.events_processed, ref_ev,
-            "{mode:?}: applied events diverge from legacy"
-        );
-        assert!(
-            (r.end_time - ref_end).abs() <= 1e-6 * ref_end,
-            "{mode:?}: end_time {} vs legacy {}",
-            r.end_time,
-            ref_end
-        );
-    }
-
-    let legacy_rate = rows[0].1.events_processed as f64 / rows[0].2;
     println!(
-        "{:>12} {:>12} {:>10} {:>14} {:>10}",
-        "mode", "events", "wall(s)", "events/sec", "speedup"
+        "{:>8} {:>10} {:>16} {:>16} {:>8} {:>8} {:>9}",
+        "payload", "events", "full ev/s", "incremental ev/s", "churn", "solves", "absorbed"
     );
-    for (mode, r, secs) in &rows {
-        let rate = r.events_processed as f64 / secs;
+    for (name, s) in [("skewed", &skewed), ("uniform", &uniform)] {
         println!(
-            "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x",
-            format!("{mode:?}"),
-            r.events_processed,
-            secs,
-            rate,
-            rate / legacy_rate
+            "{:>8} {:>10} {:>16.0} {:>16.0} {:>8} {:>8} {:>9}",
+            name,
+            s.report.events_processed,
+            s.full_rate,
+            s.incremental_rate,
+            s.churn,
+            s.solves,
+            s.absorbed
         );
     }
     println!(
-        "\nvirtual end_time {:.3} s; all modes applied the same {} events.",
-        ref_end, ref_ev
+        "\nuniform burst mean {:.1}, max {:.0}; virtual end_time {:.3} s (skewed).",
+        uniform.burst_mean, uniform.burst_max, skewed.report.end_time
     );
-    println!("shape to check: Incremental >= 2x Legacy events/sec — the dirty-set path");
-    println!("skips the global re-stamp, re-solves only affected sharing components,");
-    println!("and never clones route vectors.");
+    println!("every run verified: Incremental bit-identical to Full, reruns identical,");
+    println!("solves + absorbed == churn.");
+    println!("shape to check: Incremental >= Full events/sec — the dirty-set path re-solves");
+    println!("only affected sharing components; uniform payloads absorb far more churn per");
+    println!("solve than skewed ones (whole completion waves share one solve).");
 
-    // ---- Windowed-kernel worker sweep -----------------------------------
-    //
-    // Same workload under the conservative parallel kernel at each worker
-    // count (GRADS_KERNEL_WORKERS, default "1,2,4,8"). Each windowed run is
-    // asserted bit-identical to the serial Incremental reference before its
-    // throughput is recorded — the sweep measures speed, never divergence.
-    let workers_axis: Vec<u32> = std::env::var("GRADS_KERNEL_WORKERS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|w| w.trim().parse().ok()).collect())
-        .filter(|v: &Vec<u32>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let serial_ref = &rows[2].1; // Incremental, serial kernel
-    let serial_rate = serial_ref.events_processed as f64 / rows[2].2;
-    println!("\nwindowed kernel (Incremental recompute), worker sweep:");
-    println!(
-        "{:>12} {:>12} {:>10} {:>14} {:>12}",
-        "workers", "events", "wall(s)", "events/sec", "vs serial"
-    );
-    let mut worker_rows = Vec::new();
-    for &w in &workers_axis {
-        let (r1, t1) = run_kernel(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Windowed { workers: w },
-        );
-        let (r2, t2) = run_kernel(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Windowed { workers: w },
-        );
-        assert_eq!(
-            serial_ref, &r1,
-            "windowed({w}) must be bit-identical to the serial kernel"
-        );
-        assert_eq!(&r1, &r2, "windowed({w}) must be run-to-run deterministic");
-        let secs = t1.min(t2);
-        let rate = r1.events_processed as f64 / secs;
-        println!(
-            "{:>12} {:>12} {:>10.3} {:>14.0} {:>11.2}x",
-            w,
-            r1.events_processed,
-            secs,
-            rate,
-            rate / serial_rate
-        );
-        worker_rows.push((w, rate));
-    }
-    println!("every windowed run verified bit-identical to the serial kernel.");
-
-    // ---- Coalesced-recompute A/B ----------------------------------------
-    //
-    // Uniform-payload all-to-all (a synchronized `MPI_Alltoall` round),
-    // Incremental scope, eager vs coalesced *timing*: churn events only
-    // mark dirty sets and the rate solve runs once per virtual instant, so
-    // each round's 4032-flow send burst costs one solve instead of 4032,
-    // and each bitwise-synchronized completion wave costs one solve
-    // instead of one per flow. The uniform point is the headline number
-    // because it is the regime the optimization targets; the skewed
-    // workload (every completion at its own instant) is measured below it
-    // as the honest floor — there, every eager-only activation solve pairs
-    // 1:1 with a completion solve both timings must pay, which caps the
-    // ratio strictly below 2x no matter how cheap the solves get.
-    // Bit-identity of the full run report is asserted before any
-    // throughput is recorded (`identity_ok` in the snapshot is earned, not
-    // aspirational), and a separate obs-enabled run reports how much churn
-    // the deferral absorbed.
-    let coal = |timing: RecomputeTiming, uniform: bool, obs| {
-        run_tuned(
-            RecomputeMode::Incremental,
-            rounds,
-            KernelMode::Serial,
-            timing,
-            uniform,
-            obs,
-        )
-    };
-    let (e1, et1) = coal(RecomputeTiming::Eager, true, None);
-    let (e2, et2) = coal(RecomputeTiming::Eager, true, None);
-    assert_eq!(&e1, &e2, "eager run must be run-to-run deterministic");
-    let (c1, ct1) = coal(RecomputeTiming::Coalesced, true, None);
-    let (c2, ct2) = coal(RecomputeTiming::Coalesced, true, None);
-    assert_eq!(
-        &e1, &c1,
-        "coalesced recompute must be bit-identical to the eager reference"
-    );
-    assert_eq!(&c1, &c2, "coalesced run must be run-to-run deterministic");
-    let eager_secs = et1.min(et2);
-    let eager_rate = e1.events_processed as f64 / eager_secs;
-    let coalesced_secs = ct1.min(ct2);
-    let coalesced_rate = c1.events_processed as f64 / coalesced_secs;
-    let coalesce_speedup = coalesced_rate / eager_rate;
-    println!("\ncoalesced recompute timing (Incremental scope, serial kernel, uniform payloads):");
-    println!(
-        "{:>12} {:>12} {:>10} {:>14} {:>10}",
-        "timing", "events", "wall(s)", "events/sec", "speedup"
-    );
-    println!(
-        "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x",
-        "eager", e1.events_processed, eager_secs, eager_rate, 1.0
-    );
-    println!(
-        "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x",
-        "coalesced", c1.events_processed, coalesced_secs, coalesced_rate, coalesce_speedup
-    );
-    // The skewed-payload floor: same A/B on the worker-sweep workload,
-    // where no two transfers finish at the same instant.
-    let (sc1, sct1) = coal(RecomputeTiming::Coalesced, false, None);
-    let (sc2, sct2) = coal(RecomputeTiming::Coalesced, false, None);
-    assert_eq!(
-        serial_ref, &sc1,
-        "skewed coalesced run must be bit-identical to the eager reference"
-    );
-    assert_eq!(&sc1, &sc2, "skewed coalesced run must be deterministic");
-    let skewed_rate = sc1.events_processed as f64 / sct1.min(sct2);
-    let skewed_speedup = skewed_rate / serial_rate;
-    println!(
-        "{:>12} {:>12} {:>10.3} {:>14.0} {:>9.2}x   (skewed payloads: completion-paired floor)",
-        "coalesced",
-        sc1.events_processed,
-        sct1.min(sct2),
-        skewed_rate,
-        skewed_speedup
-    );
-    // Counter run (obs adds overhead, so it is never timed): how many
-    // churn notifications arrived, how many solves actually ran, and the
-    // same-instant burst-size distribution the deferral collapses.
-    let obs = grads_core::obs::Obs::enabled();
-    let (co, _) = coal(RecomputeTiming::Coalesced, true, Some(obs.clone()));
-    assert_eq!(&e1, &co, "obs-enabled run must not perturb results");
-    let snap = obs.snapshot();
-    let churn = snap.counter("sim.recomputes").unwrap_or(0);
-    let solves = snap.counter("sim.recompute.solves").unwrap_or(0);
-    let absorbed = snap.counter("sim.recompute.coalesced").unwrap_or(0);
-    let (burst_mean, burst_max) = snap
-        .histogram("sim.recompute.burst")
-        .map(|h| (h.mean(), h.max))
-        .unwrap_or((0.0, 0.0));
-    assert_eq!(
-        solves + absorbed,
-        churn,
-        "every churn is either solved or absorbed"
-    );
-    println!(
-        "churn events {churn}, solves {solves}, absorbed {absorbed} \
-         (burst mean {burst_mean:.1}, max {burst_max:.0})"
-    );
-    // The ≥2x floor is the ISSUE-10 acceptance bar for the real benchmark
-    // configuration; the 1-round CI smoke run only checks identity and
-    // snapshot shape, so wall-clock noise on shared runners cannot flake
-    // the gate.
-    if rounds >= 2 {
-        assert!(
-            coalesce_speedup >= 2.0,
-            "coalesced timing must be >= 2x eager events/s, got {coalesce_speedup:.2}x"
-        );
-    }
-
-    // Stamp the machine and the substrate under test so checked-in
-    // snapshots are self-describing (throughput numbers are meaningless
-    // without the core count and the engine tuning they were taken on).
+    // Stamp the machine so checked-in snapshots are self-describing
+    // (throughput numbers are meaningless without the core count).
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let substrate = match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => "channel_handoff+stale_mark_queue",
-        Ok("stale") => "direct_handoff+stale_mark_queue",
-        Ok("channel") => "channel_handoff+indexed_queue",
-        _ => "direct_handoff+indexed_queue",
-    };
-    let mut fields: Vec<(&str, String)> = vec![
-        ("cores_detected", cores.to_string()),
-        ("substrate", format!("\"{substrate}\"")),
-        ("rounds", rounds.to_string()),
-        ("processes", NPROC.to_string()),
-        ("events_applied", ref_ev.to_string()),
-        ("virtual_end_time_s", json_num(ref_end)),
-    ];
-    for (mode, r, secs) in &rows {
-        let key: &str = match mode {
-            RecomputeMode::Legacy => "legacy_events_per_s",
-            RecomputeMode::Full => "full_events_per_s",
-            RecomputeMode::Incremental => "incremental_events_per_s",
-        };
-        fields.push((key, json_num(r.events_processed as f64 / secs)));
-    }
-    // Tuned (non-default) substrates write their own section so an A/B
-    // run never clobbers the default-substrate snapshot.
-    let section = match std::env::var("GRADS_KERNEL_TUNE").as_deref() {
-        Ok("seed") => "kernel_scale_seed_substrate",
-        Ok("stale") => "kernel_scale_stale_queue",
-        Ok("channel") => "kernel_scale_channel_handoff",
-        _ => "kernel_scale",
-    };
-    merge_bench_section(section, &json_obj(&fields));
-    println!("\nwrote {section} section of BENCH_sim.json");
-
-    // The worker sweep gets its own section: it only makes sense against
-    // the default substrate, and its numbers are core-count-bound (on a
-    // single-core box the pool gates off and every count measures the
-    // window/merge overhead, not parallel speedup — cores_detected says
-    // which regime a snapshot was taken in).
-    if std::env::var("GRADS_KERNEL_TUNE").is_err() {
-        let mut wfields: Vec<(&str, String)> = vec![
+    let section = |s: &Shape, extra: Vec<(&'static str, String)>| {
+        let mut fields: Vec<(&str, String)> = vec![
             ("cores_detected", cores.to_string()),
             ("rounds", rounds.to_string()),
             ("processes", NPROC.to_string()),
-            ("clusters", CLUSTERS.to_string()),
-            ("serial_events_per_s", json_num(serial_rate)),
+            ("events_applied", s.report.events_processed.to_string()),
+            ("virtual_end_time_s", json_num(s.report.end_time)),
+            ("full_events_per_s", json_num(s.full_rate)),
+            ("incremental_events_per_s", json_num(s.incremental_rate)),
+            ("recompute_churn", s.churn.to_string()),
+            ("recompute_solves", s.solves.to_string()),
+            ("coalesced_absorbed", s.absorbed.to_string()),
         ];
-        let keyed: Vec<(String, String)> = worker_rows
-            .iter()
-            .map(|(w, rate)| (format!("workers_{w}_events_per_s"), json_num(*rate)))
-            .collect();
-        for (k, v) in &keyed {
-            wfields.push((k.as_str(), v.clone()));
-        }
-        merge_bench_section("kernel_scale_workers", &json_obj(&wfields));
-        println!("wrote kernel_scale_workers section of BENCH_sim.json");
-
-        // Coalesce A/B snapshot. `identity_ok` is written only after the
-        // in-binary bit-identity asserts above have passed.
-        let cfields: Vec<(&str, String)> = vec![
-            ("cores_detected", cores.to_string()),
-            ("rounds", rounds.to_string()),
-            ("processes", NPROC.to_string()),
-            ("events_applied", e1.events_processed.to_string()),
-            ("eager_events_per_s", json_num(eager_rate)),
-            ("coalesced_events_per_s", json_num(coalesced_rate)),
-            ("speedup_x", json_num(coalesce_speedup)),
-            ("skewed_speedup_x", json_num(skewed_speedup)),
-            ("recompute_churn", churn.to_string()),
-            ("recompute_solves", solves.to_string()),
-            ("coalesced_absorbed", absorbed.to_string()),
-            ("burst_mean", json_num(burst_mean)),
-            ("burst_max", json_num(burst_max)),
-            ("identity_ok", "1".to_string()),
-        ];
-        merge_bench_section("kernel_scale_coalesce", &json_obj(&cfields));
-        println!("wrote kernel_scale_coalesce section of BENCH_sim.json");
-    }
+        fields.extend(extra);
+        // Written only after every assert above has passed.
+        fields.push(("identity_ok", "1".to_string()));
+        json_obj(&fields)
+    };
+    merge_bench_section("kernel_scale", &section(&skewed, Vec::new()));
+    merge_bench_section(
+        "kernel_scale_coalesce",
+        &section(
+            &uniform,
+            vec![
+                ("burst_mean", json_num(uniform.burst_mean)),
+                ("burst_max", json_num(uniform.burst_max)),
+            ],
+        ),
+    );
+    println!("\nwrote kernel_scale and kernel_scale_coalesce sections of BENCH_sim.json");
 }

@@ -86,8 +86,6 @@ pub struct ServiceConfig {
     pub high_water_in_flight: usize,
     /// Decision-path tune for the per-job mapper.
     pub sched: SchedTune,
-    /// Kernel substrate tune.
-    pub tune: EngineTune,
     /// Metrics sink (counters/gauges published at end of run).
     pub obs: Obs,
     /// Per-job lifecycle span stream (disabled by default). Every span
@@ -112,7 +110,6 @@ impl Default for ServiceConfig {
             reserve_price: 0.25,
             high_water_in_flight: 2000,
             sched: SchedTune::default(),
-            tune: EngineTune::default(),
             obs: Obs::disabled(),
             spans: SpanLog::disabled(),
             t_max: 1.0e7,
@@ -170,21 +167,26 @@ impl std::error::Error for ServiceConfigError {}
 impl ServiceConfig {
     /// Check the grid shape and round period before anything runs.
     pub fn validate(&self) -> Result<(), ServiceConfigError> {
-        let (hosts, clusters) = (self.hosts, self.clusters);
-        if clusters == 0 {
-            return Err(ServiceConfigError::NoClusters);
-        }
-        if hosts < clusters {
-            return Err(ServiceConfigError::FewerHostsThanClusters { hosts, clusters });
-        }
-        if hosts % clusters != 0 {
-            return Err(ServiceConfigError::UnevenClusters { hosts, clusters });
-        }
+        check_grid_shape(self.hosts, self.clusters)?;
         if !(self.round_s.is_finite() && self.round_s > 0.0) {
             return Err(ServiceConfigError::BadRoundPeriod(self.round_s));
         }
         Ok(())
     }
+}
+
+/// Check that `hosts` split evenly over `clusters` non-empty clusters.
+fn check_grid_shape(hosts: usize, clusters: usize) -> Result<(), ServiceConfigError> {
+    if clusters == 0 {
+        return Err(ServiceConfigError::NoClusters);
+    }
+    if hosts < clusters {
+        return Err(ServiceConfigError::FewerHostsThanClusters { hosts, clusters });
+    }
+    if !hosts.is_multiple_of(clusters) {
+        return Err(ServiceConfigError::UnevenClusters { hosts, clusters });
+    }
+    Ok(())
 }
 
 /// What a service run produced. `PartialEq` is bitwise on every float —
@@ -240,8 +242,16 @@ pub struct ServiceResult {
 /// Build the service grid: `clusters` clusters of `hosts/clusters`
 /// multi-core hosts, ring-linked over the WAN, with per-cluster base
 /// speeds (same shape as the scheduler scaling benches).
+///
+/// # Panics
+///
+/// If the shape is one [`ServiceConfig::validate`] rejects: no clusters,
+/// fewer hosts than clusters, or hosts that do not split evenly. The
+/// message is the matching [`ServiceConfigError`]'s.
 pub fn service_grid(hosts: usize, clusters: usize, cores_per_host: u32) -> Grid {
-    assert!(hosts >= clusters, "at least one host per cluster");
+    if let Err(e) = check_grid_shape(hosts, clusters) {
+        panic!("invalid service grid: {e}");
+    }
     let per = hosts / clusters;
     let mut b = GridBuilder::new();
     let mut cl = Vec::new();
@@ -343,7 +353,6 @@ pub fn run_service_experiment(cfg: ServiceConfig) -> ServiceResult {
     }
     let grid = service_grid(cfg.hosts, cfg.clusters, cfg.cores_per_host);
     let mut eng = Engine::new(grid.clone());
-    eng.apply_tune(cfg.tune);
     eng.set_obs(cfg.obs.clone());
 
     let out: Arc<Mutex<Option<ServiceResult>>> = Arc::new(Mutex::new(None));
@@ -915,6 +924,18 @@ mod tests {
                 clusters: 16,
             },
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "hosts (100) must be a multiple of clusters (16)")]
+    fn service_grid_rejects_an_uneven_split() {
+        service_grid(100, 16, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "clusters must be at least 1")]
+    fn service_grid_rejects_zero_clusters() {
+        service_grid(0, 0, 2);
     }
 
     #[test]

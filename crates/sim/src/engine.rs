@@ -7,48 +7,41 @@
 //! the next runnable process or event. Runs are therefore deterministic.
 //!
 //! Resource completion times are maintained lazily: whenever the demand set
-//! churns (an action or flow starts or ends, load changes), rates are
-//! re-derived from the sharing model and fresh completion events (tagged
-//! with a per-action generation counter) are pushed; stale events are
-//! ignored on pop and periodically compacted out of the heap.
+//! churns (an action or flow starts or ends, load changes), the churn marks
+//! the hosts and links it touched dirty, and once per virtual instant —
+//! right before the clock advances — one solve re-derives the dirty rates
+//! and re-stamps the completion events of whatever changed (each tagged
+//! with a per-action generation counter). A burst of same-instant churn, such as a collective starting
+//! dozens of flows, costs one solve (DESIGN.md, "Coalesced
+//! recomputation").
 //!
-//! Rate recomputation is *scoped*: every churn marks the hosts and links it
-//! touched dirty, and only churned hosts' CPU shares and the network
+//! The solve is *scoped*: only churned hosts' CPU shares and the network
 //! sharing components reachable from dirty links are re-solved
 //! ([`RecomputeMode::Incremental`], the default). Flows and actions whose
 //! rate did not change keep their generation and their already-scheduled
 //! completion event. [`RecomputeMode::Full`] runs the same solver over
-//! everything on each churn (the reference for the determinism gate), and
-//! [`RecomputeMode::Legacy`] preserves the pre-change kernel — global
-//! re-solve, unconditional re-stamping — as a benchmark baseline.
+//! everything on each solve: the oracle the determinism tests hold the
+//! scoped path to.
 
-use crate::equeue::{class_key, Event, EventKind, IndexedHeap, ShardedHeap, MAX_SHARDS, NO_HANDLE};
-use crate::handoff::{multicore, HandoffSlot, KernelThread};
+use crate::equeue::{class_key, Event, EventKind, IndexedHeap, NO_HANDLE};
+use crate::handoff::{HandoffSlot, KernelThread};
 use crate::maildir::{MailDir, QueuedSend};
-use crate::process::{
-    Ctx, Endpoint, Grant, KillToken, MailKey, Payload, ProcFn, ProcId, Request, SendMode,
-};
+use crate::process::{Ctx, Grant, KillToken, MailKey, Payload, ProcFn, ProcId, Request, SendMode};
 use crate::sharing::{cpu_share, FairScratch};
 use crate::topology::{Grid, HostId, LinkId};
 use crate::trace::{Trace, TraceKind, TraceRecord};
-use crate::window::{Job, WindowPolicy, WorkerPool};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once, OnceLock};
 use std::thread::JoinHandle;
 
-/// How the kernel re-derives rates when the demand set churns.
+/// Which rates a solve re-derives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecomputeMode {
-    /// The pre-change kernel: re-derive every CPU and flow rate globally on
-    /// each churn, re-stamp every generation and re-push every completion
-    /// event. Kept as the baseline for the scalability benchmark.
-    Legacy,
     /// Scope-everything variant of the incremental path: identical
     /// per-component solver and skip-unchanged stamping, but every host and
-    /// every sharing component is revisited on each churn. Reference side
-    /// of the determinism gate.
+    /// every sharing component is revisited on each solve. The oracle the
+    /// determinism tests hold [`RecomputeMode::Incremental`] to.
     Full,
     /// Dirty-set scoped recomputation (the default): only churned hosts and
     /// the sharing components reachable from churned links are re-solved.
@@ -56,162 +49,11 @@ pub enum RecomputeMode {
     Incremental,
 }
 
-/// *When* the kernel re-derives rates relative to the churn that dirtied
-/// them.
-///
-/// Rates are only observable through the work they accrue, and work accrues
-/// only while virtual time advances — so any number of same-instant churn
-/// events (a collective starting dozens of flows at one timestamp, a load
-/// inject/remove pair, a compute storm at a barrier) can share a single
-/// solve as long as it lands before the clock moves past that instant. Both
-/// timings produce bit-identical [`RunReport`]s in every
-/// [`RecomputeMode`] × [`KernelMode`] combination
-/// (`tests/prop_coalesced.rs`, `tests/determinism.rs`); DESIGN.md
-/// ("Coalesced recomputation") carries the soundness argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecomputeTiming {
-    /// Solve inline on every churn event — the reference and the default.
-    #[default]
-    Eager,
-    /// Churn only marks dirty sets; one solve runs per virtual instant, at
-    /// the point the kernel is about to pop a completion event or advance
-    /// past the current timestamp. A same-time churn burst of size *k*
-    /// collapses from *k* solves to one.
-    Coalesced,
-}
-
-/// Which process ↔ kernel transport newly spawned processes use.
-///
-/// Both transports carry the same messages in the same order — the kernel
-/// and exactly one running process alternate — so results are bit-identical
-/// across modes; `tests/determinism.rs` holds the kernel to that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HandoffMode {
-    /// The seed transport: one shared request mpsc into the kernel plus a
-    /// per-process grant mpsc back. Two heap-allocated channel nodes and
-    /// two OS wakeups per primitive. Kept as the benchmark baseline.
-    Channel,
-    /// Per-process single-slot rendezvous (`sim::handoff`): one atomic
-    /// state word, in-place message cells, spin-then-park waiting. The
-    /// default.
-    #[default]
-    Direct,
-}
-
-/// Which event-queue implementation the kernel uses.
-///
-/// Both queues pop in the same strict total order on `(t, class, key, seq)`
-/// and both receive exactly the same live events, so results are
-/// bit-identical across modes (`tests/prop_equeue.rs`,
-/// `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueMode {
-    /// The seed queue: plain binary heap; cancelled completions stay in the
-    /// heap as stale events, discarded on pop and shed by
-    /// [`CompactionPolicy`] rebuilds. Kept as the benchmark baseline.
-    StaleMark,
-    /// Position-tracked heap (`equeue::IndexedHeap`):
-    /// cancellations remove their event in O(log n), the heap holds only
-    /// live events and compaction never runs. The default.
-    #[default]
-    Indexed,
-}
-
-/// How the kernel's run loop organises event execution.
-///
-/// The serial loop is the reference. [`KernelMode::Windowed`] is the
-/// conservative-parallel organisation of the *same* event sequence:
-/// the indexed event queue is sharded by cluster, cluster-local event
-/// windows (bounded by the topology's minimum WAN link latency, see
-/// [`Grid::min_wan_latency`]) are pre-drained concurrently on a worker
-/// pool, and the pre-drained batches are merged with live shard minima
-/// under the kernel's strict `(t, class, key, seq)` total order — so the
-/// applied-event sequence, and with it every result bit, is identical to
-/// the serial kernel at any worker count. Pre-drained completions that a
-/// mid-window re-stamp invalidates are caught by the same generation
-/// check that already guards stale-marked events. DESIGN.md ("Parallel
-/// kernel") documents the protocol; `tests/prop_windowed.rs` and
-/// `tests/substrate_determinism.rs` pin the bit-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// One event at a time off one queue — the reference and the default.
-    #[default]
-    Serial,
-    /// Conservative parallel windows over cluster shards. `workers` is the
-    /// total executor count (1 = the kernel thread alone, still exercising
-    /// the window/merge machinery; n > 1 adds n − 1 pool threads).
-    Windowed {
-        /// Total concurrent executors, kernel thread included.
-        workers: u32,
-    },
-}
-
-/// Substrate tuning knobs bundled for experiment drivers. Apply with
-/// [`Engine::apply_tune`] before spawning processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineTune {
-    /// Transport for subsequently spawned processes.
-    pub handoff: HandoffMode,
-    /// Event-queue implementation.
-    pub queue: EventQueueMode,
-    /// Run-loop organisation. [`KernelMode::Windowed`] implies (and
-    /// forces) the indexed queue, sharded by cluster.
-    pub kernel: KernelMode,
-    /// When rate solves run relative to churn ([`RecomputeTiming`]).
-    pub recompute: RecomputeTiming,
-}
-
-/// When the kernel rebuilds the event heap to shed stale completion
-/// events (completions whose generation no longer matches a live
-/// action/flow).
-///
-/// Compaction runs only when **both** thresholds are exceeded: more than
-/// `min_stale` stale events are pending *and* they make up more than
-/// `min_stale_fraction` of the heap. The default (64 / 0.5) matches the
-/// previously hard-coded policy bit-for-bit. Compaction is purely a heap
-/// rebuild — pop order is a strict total order on `(t, class, key, seq)`,
-/// so no policy choice can reorder live events or perturb results; the
-/// `compaction_policy_does_not_perturb_results` regression holds the
-/// kernel to that.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionPolicy {
-    /// Compact only when more than this many stale events are pending.
-    /// `usize::MAX` disables compaction entirely.
-    pub min_stale: usize,
-    /// Compact only when stale events exceed this fraction of the heap
-    /// (`0.5` = more than half the heap is dead weight).
-    pub min_stale_fraction: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            min_stale: 64,
-            min_stale_fraction: 0.5,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// Never compact (keeps every stale event until it is popped and
-    /// discarded individually).
-    pub fn never() -> Self {
-        CompactionPolicy {
-            min_stale: usize::MAX,
-            min_stale_fraction: 1.0,
-        }
-    }
-
-    /// Whether a heap with `stale` stale events out of `len` total should
-    /// be compacted now.
-    #[inline]
-    pub fn should_compact(&self, stale: usize, len: usize) -> bool {
-        // `stale as f64` is exact for any realistic heap (< 2^53 events),
-        // so with the default 0.5 fraction this is bit-identical to the
-        // old `stale * 2 <= len` integer test.
-        stale > self.min_stale && (stale as f64) > self.min_stale_fraction * (len as f64)
-    }
-}
+/// Kernel tuning bundle. The kernel has one production path, so the bundle
+/// carries no knobs; its `Debug` form is the kernel stamp the end-to-end
+/// benchmark prints in its report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineTune;
 
 /// Outcome of a simulation run.
 ///
@@ -263,6 +105,85 @@ impl RunReport {
         }
         self.link_bytes[link.0 as usize] / (l.bandwidth * self.end_time)
     }
+
+    /// A 64-bit FNV-1a digest of the whole report: every `f64` by its bits
+    /// ([`f64::to_bits`]), every name and trace record in order. Reports
+    /// that compare equal have equal fingerprints, so a recorded value pins
+    /// a run bit for bit; the golden tests hold the kernel to theirs.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.f64(self.end_time);
+        for names in [&self.completed, &self.unfinished, &self.died] {
+            h.u64(names.len() as u64);
+            names.iter().for_each(|s| h.str(s));
+        }
+        h.u64(self.failed.len() as u64);
+        for (name, msg) in &self.failed {
+            h.str(name);
+            h.str(msg);
+        }
+        for v in [&self.host_flops, &self.link_bytes] {
+            h.u64(v.len() as u64);
+            v.iter().for_each(|&x| h.f64(x));
+        }
+        h.u64(self.events_processed);
+        h.u64(self.trace.records.len() as u64);
+        for r in &self.trace.records {
+            h.f64(r.t);
+            h.u64(r.pid.map_or(u64::MAX, |p| p.0 as u64));
+            match &r.kind {
+                TraceKind::ProcStart { name } => {
+                    h.u64(0);
+                    h.str(name);
+                }
+                TraceKind::ProcExit { name } => {
+                    h.u64(1);
+                    h.str(name);
+                }
+                TraceKind::ProcFail { name, message } => {
+                    h.u64(2);
+                    h.str(name);
+                    h.str(message);
+                }
+                TraceKind::LoadChange { host, total } => {
+                    h.u64(3);
+                    h.u64(host.0 as u64);
+                    h.f64(*total);
+                }
+                TraceKind::HostFail { host } => {
+                    h.u64(4);
+                    h.u64(host.0 as u64);
+                }
+                TraceKind::Custom { label, value } => {
+                    h.u64(5);
+                    h.str(label);
+                    h.f64(*value);
+                }
+            }
+        }
+        h.0
+    }
+}
+
+/// FNV-1a state for [`RunReport::fingerprint`].
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 = (self.0 ^ x as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
 }
 
 struct CpuAction {
@@ -271,16 +192,15 @@ struct CpuAction {
     remaining: f64,
     rate: f64,
     gen: u64,
-    /// Pending `CpuDone` handle in the indexed queue ([`NO_HANDLE`] when no
-    /// completion is scheduled or the queue is in stale-mark mode).
+    /// Pending `CpuDone` handle in the event queue ([`NO_HANDLE`] when no
+    /// completion is scheduled).
     ev: u32,
     /// Virtual time of the pending completion event (`INFINITY` when none
     /// is scheduled). A solve never re-stamps an action whose completion
     /// is due *exactly now*: the event fires this instant regardless of
     /// the new rate, and re-deriving its time from the accrued residual
     /// (rounding noise) would stagger bitwise-synchronized completion
-    /// waves by ulps — the rule that keeps eager and coalesced recompute
-    /// timing bit-identical (see [`Engine::must_flush_before`]).
+    /// waves by ulps (see [`Engine::must_flush_before`]).
     due: f64,
 }
 
@@ -305,16 +225,12 @@ struct Flow {
     active: bool,
     /// Position in `Engine::active_flows`, or `u32::MAX` when not listed.
     act_idx: u32,
-    /// Pending `FlowDone` handle in the indexed queue ([`NO_HANDLE`] when no
-    /// completion is scheduled or the queue is in stale-mark mode).
+    /// Pending `FlowDone` handle in the event queue ([`NO_HANDLE`] when no
+    /// completion is scheduled).
     ev: u32,
     /// Virtual time of the pending completion event (`INFINITY` when none
     /// is scheduled); same due-now re-stamp guard as [`CpuAction::due`].
     due: f64,
-    /// Event partition this flow's events belong to (its source host's
-    /// cluster); fixed for the flow's lifetime. Only meaningful under
-    /// [`KernelMode::Windowed`], but cheap enough to stamp always.
-    part: u32,
     payload: Option<Payload>,
     on_done: OnDone,
 }
@@ -336,29 +252,11 @@ enum PState {
     Died,
 }
 
-/// Kernel-side end of one process's transport.
-enum ProcPort {
-    Channel(Sender<(Grant, f64)>),
-    Direct(Arc<HandoffSlot>),
-}
-
-impl ProcPort {
-    /// Send a grant stamped with the kernel's virtual time `now`, which
-    /// the process caches as its clock until its next grant.
-    fn send_grant(&self, g: Grant, now: f64) {
-        match self {
-            ProcPort::Channel(tx) => {
-                let _ = tx.send((g, now));
-            }
-            ProcPort::Direct(slot) => slot.send_grant(g, now),
-        }
-    }
-}
-
 struct ProcSlot {
     name: Arc<str>,
     host: HostId,
-    port: ProcPort,
+    /// The kernel's end of this process's handoff.
+    slot: Arc<HandoffSlot>,
     join: Option<JoinHandle<()>>,
     state: PState,
 }
@@ -407,7 +305,6 @@ struct RateScratch {
     offsets: Vec<(u32, u32)>,
     links_flat: Vec<u32>,
     caps_local: Vec<f64>,
-    rates: Vec<f64>,
     fair: FairScratch,
     flow_mark: EpochMap,
     comp_link_mark: EpochMap,
@@ -421,68 +318,6 @@ struct RateScratch {
     class_rates: Vec<f64>,
     /// Route id → class index for the component being solved.
     route_class: EpochMap,
-}
-
-/// The kernel's pending-event queue, in one of the [`EventQueueMode`]
-/// implementations (plus the cluster-sharded indexed variant the windowed
-/// kernel uses). All pop the identical `(t, class, key, seq)` order.
-enum EventQueue {
-    Stale(BinaryHeap<Event>),
-    Indexed(IndexedHeap),
-    /// Indexed heaps sharded by cluster partition ([`KernelMode::Windowed`]).
-    Sharded(ShardedHeap),
-}
-
-impl EventQueue {
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Stale(h) => h.len(),
-            EventQueue::Indexed(h) => h.len(),
-            EventQueue::Sharded(h) => h.len(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Event> {
-        match self {
-            EventQueue::Stale(h) => h.peek(),
-            EventQueue::Indexed(h) => h.peek(),
-            EventQueue::Sharded(h) => h.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Stale(h) => h.pop(),
-            EventQueue::Indexed(h) => h.pop(),
-            EventQueue::Sharded(h) => h.pop(),
-        }
-    }
-}
-
-/// Raw pointers to the engine's entity tables, for pool jobs operating on
-/// provably disjoint index sets (per-shard window drains, per-partition
-/// accrual). Plain `&mut` splitting cannot express "disjoint by partition
-/// membership", so the jobs carry these instead.
-#[derive(Clone, Copy)]
-struct EntityPtrs {
-    cpu: *mut Option<CpuAction>,
-    flows: *mut Option<Flow>,
-    host_flops: *mut f64,
-}
-
-// SAFETY: the pointee types are all Send (plain data plus `Box<dyn Any +
-// Send>` payloads), and every job batch partitions the index space so no
-// element is touched by two jobs; `WorkerPool::run_batch` returns only
-// after all jobs finished, bounding the borrows.
-unsafe impl Send for EntityPtrs {}
-
-/// Where the windowed merge found its globally next event.
-#[derive(Clone, Copy)]
-enum WindowSource {
-    /// The live sharded heap.
-    Heap,
-    /// The staged pre-drained window of this shard.
-    Staged(usize),
 }
 
 /// The grid emulator.
@@ -508,7 +343,7 @@ pub struct Engine {
     now: f64,
     last_advance: f64,
     seq: u64,
-    events: EventQueue,
+    events: IndexedHeap,
     procs: Vec<ProcSlot>,
     cpu: Vec<Option<CpuAction>>,
     flows: Vec<Option<Flow>>,
@@ -523,12 +358,9 @@ pub struct Engine {
     gen_counter: u64,
     runnable: VecDeque<(ProcId, Grant)>,
     running: Option<ProcId>,
-    req_tx: Sender<(ProcId, Request)>,
-    req_rx: Receiver<(ProcId, Request)>,
-    handoff: HandoffMode,
-    /// The OS thread the run loop executes on; direct-handoff processes
-    /// unpark it when publishing a request. Set when `run_until` starts
-    /// (the engine may be built on a different thread than it runs on).
+    /// The OS thread the run loop executes on; processes unpark it when
+    /// publishing a request. Set when `run_until` starts (the engine may be
+    /// built on a different thread than it runs on).
     kernel_thread: KernelThread,
     trace: Trace,
     /// Interned names of completed processes; materialized into the
@@ -536,14 +368,11 @@ pub struct Engine {
     completed: Vec<Arc<str>>,
     failed: Vec<(String, String)>,
     mode: RecomputeMode,
-    /// When solves run relative to churn ([`RecomputeTiming`]).
-    timing: RecomputeTiming,
     /// Churn notifications since the last solve (0 = rates are current).
-    /// Always 0 between events under [`RecomputeTiming::Eager`].
     pending_churn: u32,
-    /// Rate solves actually executed (== `recomputes` under `Eager`).
+    /// Rate solves executed.
     solves: u64,
-    /// Churn notifications absorbed into a shared solve (`Coalesced` only).
+    /// Churn notifications absorbed into a solve another churn triggered.
     coalesced_absorbed: u64,
     routes_tbl: Vec<RouteEntry>,
     route_ids: HashMap<(u32, u32), u32>,
@@ -553,8 +382,7 @@ pub struct Engine {
     /// the per-route-class aggregated solve collapse all-to-all traffic
     /// from O(P²) flows to O(clusters²) solver classes.
     route_contents: HashMap<(Box<[u32]>, u64), u32>,
-    /// Per-link capacity, hoisted out of the solve loops (the legacy
-    /// reference used to rebuild this vector on every recompute).
+    /// Per-link capacity, hoisted out of the solve loops.
     link_caps: Vec<f64>,
     /// Live CPU action ids per host; the length doubles as the action count
     /// the CPU sharing model needs.
@@ -573,38 +401,9 @@ pub struct Engine {
     dirty_links: Vec<u32>,
     dirty_host_mark: EpochMap,
     dirty_link_mark: EpochMap,
-    /// Completion events in the heap whose generation no longer matches a
-    /// live action/flow. When the heap is mostly stale it is rebuilt.
-    stale_events: usize,
     events_processed: u64,
     stale_discarded: u64,
-    compactions: u64,
     recomputes: u64,
-    compaction: CompactionPolicy,
-    /// Run-loop organisation ([`KernelMode`]); `Windowed` keeps `events`
-    /// in the [`EventQueue::Sharded`] variant.
-    kernel: KernelMode,
-    /// Host → event partition (cluster index, folded into [`MAX_SHARDS`]).
-    part_of_host: Vec<u32>,
-    /// Partition count (= shard count of the sharded queue).
-    nparts: u32,
-    /// Window width: the grid's minimum WAN link latency, or infinity on a
-    /// single-cluster grid (the per-shard drain cap bounds the window then).
-    lookahead: f64,
-    /// Per-shard pre-drained event windows, each in pop order. The merge
-    /// loop consumes these against the live shard minima.
-    staged: Vec<VecDeque<Event>>,
-    staged_total: usize,
-    /// Helper threads for window drains and accrual sweeps (`Windowed`
-    /// with more than one worker only).
-    pool: Option<WorkerPool>,
-    wpolicy: WindowPolicy,
-    windows_planned: u64,
-    events_predrained: u64,
-    /// Scratch: live CPU action ids bucketed by partition, each bucket in
-    /// ascending id order (the serial accrual traversal order). Rebuilt per
-    /// parallel sweep.
-    accrual_parts: Vec<Vec<u32>>,
     obs: grads_obs::Obs,
     rec: grads_obs::Recorder,
     scratch: RateScratch,
@@ -640,7 +439,6 @@ impl Engine {
     /// Create an engine over a built topology.
     pub fn new(grid: Grid) -> Self {
         install_quiet_kill_hook();
-        let (req_tx, req_rx) = unbounded();
         let nhosts = grid.hosts().len();
         let nlinks = grid.links().len();
         let mut dirty_host_mark = EpochMap::default();
@@ -652,16 +450,13 @@ impl Engine {
         let mut scratch = RateScratch::default();
         scratch.comp_link_mark.ensure(nlinks);
         scratch.link_local.ensure(nlinks);
-        let nparts = grid.clusters().len().clamp(1, MAX_SHARDS) as u32;
-        let part_of_host = grid.hosts().iter().map(|h| h.cluster.0 % nparts).collect();
-        let lookahead = grid.min_wan_latency().unwrap_or(f64::INFINITY);
         let link_caps = grid.links().iter().map(|l| l.bandwidth).collect();
         Engine {
             grid,
             now: 0.0,
             last_advance: 0.0,
             seq: 0,
-            events: EventQueue::Indexed(IndexedHeap::default()),
+            events: IndexedHeap::default(),
             procs: Vec::new(),
             cpu: Vec::new(),
             flows: Vec::new(),
@@ -673,15 +468,11 @@ impl Engine {
             gen_counter: 1,
             runnable: VecDeque::new(),
             running: None,
-            req_tx,
-            req_rx,
-            handoff: HandoffMode::default(),
             kernel_thread: Arc::new(OnceLock::new()),
             trace: Trace::default(),
             completed: Vec::new(),
             failed: Vec::new(),
             mode: RecomputeMode::default(),
-            timing: RecomputeTiming::default(),
             pending_churn: 0,
             solves: 0,
             coalesced_absorbed: 0,
@@ -698,23 +489,9 @@ impl Engine {
             dirty_links: Vec::new(),
             dirty_host_mark,
             dirty_link_mark,
-            stale_events: 0,
             events_processed: 0,
             stale_discarded: 0,
-            compactions: 0,
             recomputes: 0,
-            compaction: CompactionPolicy::default(),
-            kernel: KernelMode::default(),
-            part_of_host,
-            nparts,
-            lookahead,
-            staged: Vec::new(),
-            staged_total: 0,
-            pool: None,
-            wpolicy: WindowPolicy::default(),
-            windows_planned: 0,
-            events_predrained: 0,
-            accrual_parts: Vec::new(),
             obs: grads_obs::Obs::disabled(),
             rec: grads_obs::Recorder::disabled(),
             scratch,
@@ -738,212 +515,8 @@ impl Engine {
         self.mode
     }
 
-    /// Select when rate solves run relative to churn (default:
-    /// [`RecomputeTiming::Eager`]). Safe to switch any time the engine is
-    /// not mid-run; composes with every [`RecomputeMode`] and
-    /// [`KernelMode`] without perturbing a result bit.
-    pub fn set_recompute_timing(&mut self, t: RecomputeTiming) {
-        debug_assert_eq!(
-            self.pending_churn, 0,
-            "switch recompute timing between runs, not mid-burst"
-        );
-        self.timing = t;
-    }
-
-    /// The active recompute timing.
-    pub fn recompute_timing(&self) -> RecomputeTiming {
-        self.timing
-    }
-
-    /// Select the process ↔ kernel transport for *subsequently spawned*
-    /// processes (default: [`HandoffMode::Direct`]). Call before spawning;
-    /// already-spawned processes keep their transport (mixing modes in one
-    /// run is fine — each process's port is dispatched independently).
-    pub fn set_handoff_mode(&mut self, m: HandoffMode) {
-        self.handoff = m;
-    }
-
-    /// The transport newly spawned processes will use.
-    pub fn handoff_mode(&self) -> HandoffMode {
-        self.handoff
-    }
-
-    /// Select the event-queue implementation (default:
-    /// [`EventQueueMode::Indexed`]). Call before `run`: already-scheduled
-    /// start/load/failure events migrate, but completion events (which only
-    /// exist once the run is underway) would lose their cancellation
-    /// handles. A no-op while the windowed kernel holds the queue sharded;
-    /// switch back to [`KernelMode::Serial`] first.
-    pub fn set_event_queue_mode(&mut self, m: EventQueueMode) {
-        match (&mut self.events, m) {
-            (EventQueue::Stale(h), EventQueueMode::Indexed) => {
-                let mut ih = IndexedHeap::default();
-                // Insertion order is irrelevant: pop order is a strict
-                // total order on (t, class, key, seq).
-                for ev in std::mem::take(h).into_vec() {
-                    ih.push(ev);
-                }
-                self.events = EventQueue::Indexed(ih);
-            }
-            (EventQueue::Indexed(ih), EventQueueMode::StaleMark) => {
-                let mut v = Vec::with_capacity(ih.len());
-                while let Some(ev) = ih.pop() {
-                    v.push(ev);
-                }
-                self.events = EventQueue::Stale(BinaryHeap::from(v));
-            }
-            _ => {}
-        }
-    }
-
-    /// The active event-queue implementation. The windowed kernel's
-    /// sharded queue *is* the indexed heap, partitioned, and reports as
-    /// [`EventQueueMode::Indexed`].
-    pub fn event_queue_mode(&self) -> EventQueueMode {
-        match self.events {
-            EventQueue::Stale(_) => EventQueueMode::StaleMark,
-            EventQueue::Indexed(_) | EventQueue::Sharded(_) => EventQueueMode::Indexed,
-        }
-    }
-
-    /// Select the run-loop organisation (default: [`KernelMode::Serial`]).
-    /// Call before `run`. Switching to [`KernelMode::Windowed`] converts
-    /// the queue to its cluster-sharded form (migrating pending events and
-    /// their cancellation handles) and starts the worker pool; switching
-    /// back restores a single indexed heap. Mode choice and worker count
-    /// cannot affect results — `tests/prop_windowed.rs` pins that.
-    pub fn set_kernel_mode(&mut self, m: KernelMode) {
-        assert_eq!(self.staged_total, 0, "switch kernel modes before running");
-        self.kernel = m;
-        match m {
-            KernelMode::Serial => {
-                self.pool = None;
-                if let EventQueue::Sharded(_) = self.events {
-                    let mut ih = IndexedHeap::default();
-                    while let Some(ev) = self.events.pop() {
-                        let owner = Self::completion_owner(&ev.kind);
-                        let h = ih.push(ev);
-                        self.patch_owner_handle(owner, h);
-                    }
-                    self.events = EventQueue::Indexed(ih);
-                }
-            }
-            KernelMode::Windowed { workers } => {
-                if !matches!(self.events, EventQueue::Sharded(_)) {
-                    let mut sh = ShardedHeap::new(self.nparts as usize);
-                    while let Some(ev) = self.events.pop() {
-                        let shard = self.shard_for(&ev.kind);
-                        let owner = Self::completion_owner(&ev.kind);
-                        let h = sh.push(shard, ev);
-                        self.patch_owner_handle(owner, h);
-                    }
-                    self.events = EventQueue::Sharded(sh);
-                }
-                if let EventQueue::Sharded(sh) = &self.events {
-                    debug_assert_eq!(
-                        sh.nshards(),
-                        self.nparts as usize,
-                        "shard count tracks the grid's partition count"
-                    );
-                }
-                if self.staged.len() != self.nparts as usize {
-                    self.staged = (0..self.nparts).map(|_| VecDeque::new()).collect();
-                }
-                let helpers = workers.saturating_sub(1) as usize;
-                if self.pool.as_ref().map(|p| p.workers()) != Some(helpers) {
-                    self.pool = if helpers > 0 {
-                        Some(WorkerPool::new(helpers))
-                    } else {
-                        None
-                    };
-                }
-            }
-        }
-    }
-
-    /// The active run-loop organisation.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// Tune the windowed kernel's dispatch thresholds (see
-    /// [`WindowPolicy`]). Scheduling only — any policy yields bit-identical
-    /// results; `windowed_policy_does_not_perturb_results` pins that.
-    pub fn set_window_policy(&mut self, p: WindowPolicy) {
-        self.wpolicy = p;
-    }
-
-    /// The active windowed-kernel policy.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.wpolicy
-    }
-
-    /// Apply a bundle of substrate tuning knobs. Call before spawning.
-    pub fn apply_tune(&mut self, t: EngineTune) {
-        self.set_handoff_mode(t.handoff);
-        self.set_event_queue_mode(t.queue);
-        self.set_kernel_mode(t.kernel);
-        self.set_recompute_timing(t.recompute);
-    }
-
-    /// The event partition an event belongs to: the cluster of the host
-    /// whose state it mutates (flows are keyed by their *source* host's
-    /// cluster for their whole lifetime).
-    fn shard_for(&self, kind: &EventKind) -> u32 {
-        match kind {
-            EventKind::Start(pid) | EventKind::SleepDone(pid) => {
-                self.part_of_host[self.procs[pid.0 as usize].host.0 as usize]
-            }
-            EventKind::HostFail { host }
-            | EventKind::LoadOn { host, .. }
-            | EventKind::LoadOff { host, .. } => self.part_of_host[host.0 as usize],
-            // Completions whose owner died are stale: any shard works (they
-            // are discarded on pop, and the global pop order is a total
-            // order independent of shard placement), so default to 0.
-            EventKind::CpuDone { id, .. } => self.cpu[*id]
-                .as_ref()
-                .map_or(0, |a| self.part_of_host[a.host]),
-            EventKind::FlowActivate { id } | EventKind::FlowDone { id, .. } => {
-                self.flows[*id].as_ref().map_or(0, |f| f.part)
-            }
-        }
-    }
-
-    /// `(is_cpu, id, gen)` when the event is a completion whose owner holds
-    /// a cancellation handle that queue migration must re-point.
-    fn completion_owner(kind: &EventKind) -> Option<(bool, usize, u64)> {
-        match *kind {
-            EventKind::CpuDone { id, gen } => Some((true, id, gen)),
-            EventKind::FlowDone { id, gen } => Some((false, id, gen)),
-            _ => None,
-        }
-    }
-
-    /// Point a live completion owner's handle at the event's new home
-    /// after queue migration. Stale completions (generation mismatch) keep
-    /// no handle and are discarded on pop as usual.
-    fn patch_owner_handle(&mut self, owner: Option<(bool, usize, u64)>, h: u32) {
-        match owner {
-            Some((true, id, gen)) => {
-                if let Some(a) = self.cpu[id].as_mut() {
-                    if a.gen == gen {
-                        a.ev = h;
-                    }
-                }
-            }
-            Some((false, id, gen)) => {
-                if let Some(f) = self.flows[id].as_mut() {
-                    if f.gen == gen {
-                        f.ev = h;
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-
     /// Attach an observability sink. Kernel counters (events applied,
-    /// stale discards, heap compactions, recompute count) and per-recompute
+    /// stale discards, churn and solve counts) and per-solve
     /// dirty-set-size histograms are flushed into it when the run finishes.
     /// Recording never reads or perturbs virtual time; with the default
     /// disabled handle the kernel only maintains plain integer counters it
@@ -973,86 +546,40 @@ impl Engine {
         &self.rec
     }
 
-    /// Tune when the event heap sheds stale completion events. The
-    /// default matches the historical hard-coded policy (more than 64
-    /// stale *and* more than half the heap). Any policy yields identical
-    /// simulation results; the knob trades rebuild cost against heap
-    /// bloat on churn-heavy workloads.
-    pub fn set_compaction_policy(&mut self, p: CompactionPolicy) {
-        self.compaction = p;
-    }
-
-    /// The active heap-compaction policy.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.compaction
-    }
-
-    /// Push an event, returning its indexed-queue handle ([`NO_HANDLE`] in
-    /// stale-mark mode). Static over disjoint fields so recompute loops can
-    /// push while iterating `self.cpu` / `self.flows`. `shard` is the
-    /// event's partition, used (and validated) only by the sharded queue.
-    fn push_ev(events: &mut EventQueue, seq: &mut u64, shard: u32, t: f64, kind: EventKind) -> u32 {
+    /// Push an event, returning its queue handle. Static over disjoint
+    /// fields so recompute loops can push while iterating `self.cpu` /
+    /// `self.flows`.
+    fn push_ev(events: &mut IndexedHeap, seq: &mut u64, t: f64, kind: EventKind) -> u32 {
         let (class, key) = class_key(&kind);
         let s = *seq;
         *seq += 1;
-        let ev = Event {
+        events.push(Event {
             t,
             class,
             key,
             seq: s,
             kind,
-        };
-        match events {
-            EventQueue::Stale(h) => {
-                h.push(ev);
-                NO_HANDLE
-            }
-            EventQueue::Indexed(h) => h.push(ev),
-            EventQueue::Sharded(h) => h.push(shard, ev),
-        }
+        })
     }
 
     fn push_event(&mut self, t: f64, kind: EventKind) -> u32 {
-        let shard = self.shard_for(&kind);
-        Self::push_ev(&mut self.events, &mut self.seq, shard, t, kind)
+        Self::push_ev(&mut self.events, &mut self.seq, t, kind)
     }
 
-    /// Cancel a pending completion event: stale-mark mode counts it for
-    /// the compaction policy and lets the pop loop discard it; indexed mode
-    /// removes it from the heap outright. `handle` is reset to
-    /// [`NO_HANDLE`] either way. In windowed mode a completion already
-    /// pre-drained into a staged window carries [`NO_HANDLE`] — nothing to
-    /// remove; the staged copy fails its generation check on pop.
-    fn cancel_ev(events: &mut EventQueue, stale_events: &mut usize, handle: &mut u32) {
-        match events {
-            EventQueue::Stale(_) => *stale_events += 1,
-            EventQueue::Indexed(h) => {
-                // NO_HANDLE happens when the completion was never scheduled
-                // (infinite rate); nothing to remove then.
-                if *handle != NO_HANDLE {
-                    h.remove(*handle);
-                }
-            }
-            EventQueue::Sharded(h) => {
-                h.remove(*handle);
-            }
-        }
+    /// Remove a pending completion event from the queue and reset its
+    /// handle to [`NO_HANDLE`]. A [`NO_HANDLE`] handle (the completion was
+    /// never scheduled: infinite rate) removes nothing.
+    fn cancel_ev(events: &mut IndexedHeap, handle: &mut u32) {
+        events.remove(*handle);
         *handle = NO_HANDLE;
     }
 
-    /// Cancel an entity's pending completion event (if `had_pending`) and
-    /// schedule its successor in one step. Stale-mark mode does exactly
-    /// what [`Self::cancel_ev`] + [`Self::push_ev`] would (counter bump,
-    /// then a fresh push); indexed mode overwrites the event in place via
-    /// [`IndexedHeap::replace`] — one short sift instead of a removal plus
-    /// a push, which is what keeps the indexed queue competitive on the
-    /// legacy recompute path's re-stamp-everything storm.
-    #[allow(clippy::too_many_arguments)] // static over disjoint `self` fields by design
+    /// Replace an entity's pending completion event (if `had_pending`) with
+    /// its successor in one step: [`IndexedHeap::replace`] overwrites the
+    /// event in place, one short sift instead of a removal plus a push.
     fn restamp_ev(
-        events: &mut EventQueue,
-        stale_events: &mut usize,
+        events: &mut IndexedHeap,
         seq: &mut u64,
-        shard: u32,
         handle: &mut u32,
         had_pending: bool,
         t: f64,
@@ -1068,32 +595,11 @@ impl Engine {
             seq: s,
             kind,
         };
-        match events {
-            EventQueue::Stale(h) => {
-                if had_pending {
-                    *stale_events += 1;
-                }
-                h.push(ev);
-                *handle = NO_HANDLE;
-            }
-            EventQueue::Indexed(h) => {
-                *handle = if had_pending {
-                    h.replace(*handle, ev)
-                } else {
-                    h.push(ev)
-                };
-            }
-            EventQueue::Sharded(h) => {
-                // A pre-drained (staged) completion left NO_HANDLE behind;
-                // `replace` degrades to a fresh push then, and the staged
-                // copy dies by generation mismatch on pop.
-                *handle = if had_pending {
-                    h.replace(*handle, shard, ev)
-                } else {
-                    h.push(shard, ev)
-                };
-            }
-        }
+        *handle = if had_pending {
+            events.replace(*handle, ev)
+        } else {
+            events.push(ev)
+        };
     }
 
     fn mark_host_dirty(&mut self, h: usize) {
@@ -1122,23 +628,8 @@ impl Engine {
     fn spawn_at(&mut self, t: f64, name: &str, host: HostId, f: ProcFn) -> ProcId {
         let pid = ProcId(self.procs.len() as u32);
         let name: Arc<str> = Arc::from(name);
-        let (port, ep) = match self.handoff {
-            HandoffMode::Channel => {
-                let (grant_tx, grant_rx) = unbounded();
-                (
-                    ProcPort::Channel(grant_tx),
-                    Endpoint::Channel {
-                        req_tx: self.req_tx.clone(),
-                        grant_rx,
-                    },
-                )
-            }
-            HandoffMode::Direct => {
-                let slot = Arc::new(HandoffSlot::new(self.kernel_thread.clone()));
-                (ProcPort::Direct(slot.clone()), Endpoint::Direct(slot))
-            }
-        };
-        let mut ctx = Ctx::new(pid, host, ep);
+        let slot = Arc::new(HandoffSlot::new(self.kernel_thread.clone()));
+        let mut ctx = Ctx::new(pid, host, slot.clone());
         let join = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
@@ -1158,16 +649,14 @@ impl Engine {
                 }
             })
             .expect("spawn simulated process thread");
-        if let ProcPort::Direct(slot) = &port {
-            // Recorded by the kernel from the join handle (not by the
-            // process thread itself) so grants never race the store.
-            slot.set_proc_thread(join.thread().clone());
-        }
+        // Recorded by the kernel from the join handle (not by the process
+        // thread itself) so grants never race the store.
+        slot.set_proc_thread(join.thread().clone());
         let alive = self.host_alive[host.0 as usize];
         self.procs.push(ProcSlot {
             name,
             host,
-            port,
+            slot,
             join: Some(join),
             state: if alive { PState::Alive } else { PState::Died },
         });
@@ -1205,90 +694,12 @@ impl Engine {
     /// and their threads joined before returning.
     pub fn run_until(mut self, tmax: f64) -> RunReport {
         let _ = self.kernel_thread.set(std::thread::current());
-        if matches!(self.events, EventQueue::Sharded(_)) {
-            self.run_windowed(tmax);
-        } else {
-            self.run_serial(tmax);
-        }
-        self.finish()
-    }
-
-    /// Drive process handoff until no process is running or runnable.
-    /// Returns `false` when the request channel disconnected (every process
-    /// gone) and the run loop should stop.
-    fn pump_processes(&mut self) -> bool {
         loop {
-            if let Some(pid) = self.running.take() {
-                let req = match &self.procs[pid.0 as usize].port {
-                    ProcPort::Channel(_) => {
-                        let (rpid, req) = match self.req_rx.recv() {
-                            Ok(x) => x,
-                            Err(_) => return false,
-                        };
-                        debug_assert_eq!(rpid, pid, "request from non-running process");
-                        req
-                    }
-                    ProcPort::Direct(slot) => slot.wait_request(),
-                };
-                let at_once = req.answered_at_once();
-                self.handle_request(pid, req);
-                // A process waiting on an at-once request may spin for its
-                // grant; the classification must match what the kernel did.
-                debug_assert!(
-                    !at_once || matches!(self.runnable.front(), Some(&(p, _)) if p == pid),
-                    "request classified as answered at once was not resumed first"
-                );
-                continue;
-            }
-            if let Some((pid, grant)) = self.runnable.pop_front() {
-                if self.procs[pid.0 as usize].state == PState::Alive {
-                    // Virtual time cannot move until this process's next
-                    // request is handled, so the stamp stays its clock.
-                    self.procs[pid.0 as usize].port.send_grant(grant, self.now);
-                    self.running = Some(pid);
-                }
-                continue;
-            }
-            return true;
-        }
-    }
-
-    /// Staleness is decided before the clock moves: a discarded event
-    /// must be completely unobservable, including through `end_time`
-    /// and the accrual sweep. Skipping `advance_to` on a stale pop is
-    /// exact — no rate changes at a stale pop, and accrual is linear in
-    /// time. Shared verbatim by the serial and windowed loops so the
-    /// decision cannot drift between them.
-    fn discard_if_stale(&mut self, kind: &EventKind) -> bool {
-        let stale = match *kind {
-            EventKind::CpuDone { id, gen } => {
-                self.cpu[id].as_ref().map(|a| a.gen == gen) != Some(true)
-            }
-            EventKind::FlowDone { id, gen } => {
-                self.flows[id].as_ref().map(|f| f.active && f.gen == gen) != Some(true)
-            }
-            _ => false,
-        };
-        if stale {
-            self.stale_events = self.stale_events.saturating_sub(1);
-            self.stale_discarded += 1;
-        }
-        stale
-    }
-
-    /// The reference run loop: one event at a time off one queue.
-    fn run_serial(&mut self, tmax: f64) {
-        loop {
-            if !self.pump_processes() {
-                break;
-            }
-            self.maybe_compact();
+            self.pump_processes();
             // Deferred-recompute flush: solve the pending burst before its
             // rates become observable. The solve may push the event the
             // next peek selects, so it runs before the peek.
-            if self.pending_churn > 0
-                && self.must_flush_before(self.events.peek().map(|ev| (ev.t, ev.class)))
-            {
+            if self.pending_churn > 0 && self.must_flush_before(self.events.peek().map(|ev| ev.t)) {
                 self.flush_rates();
             }
             match self.events.peek() {
@@ -1304,193 +715,71 @@ impl Engine {
             self.events_processed += 1;
             self.apply_event(ev.kind);
         }
+        self.finish()
     }
 
-    /// The conservative-parallel run loop ([`KernelMode::Windowed`]).
-    ///
-    /// Alternates two steps: *plan* — when no staged events remain, pre-drain
-    /// the next window (events within the lookahead horizon) from every
-    /// cluster shard, concurrently when the pool pays — and *merge* — apply
-    /// events one at a time, always taking the global minimum of the staged
-    /// window fronts and the live shard minima under the kernel's strict
-    /// `(t, class, key, seq)` total order. The merge replays exactly the
-    /// serial applied-event sequence: events pushed mid-window land in the
-    /// live shards and win the comparison whenever the serial kernel would
-    /// have popped them first, and staged completions invalidated by a
-    /// mid-window re-stamp fail the same generation check stale-marked
-    /// events already fail. Worker count therefore cannot perturb results.
-    fn run_windowed(&mut self, tmax: f64) {
+    /// Drive process handoff until no process is running or runnable.
+    fn pump_processes(&mut self) {
         loop {
-            if !self.pump_processes() {
-                break;
-            }
-            if self.staged_total == 0 {
-                self.plan_window();
-            }
-            // Deferred-recompute flush, as in the serial loop. A flush
-            // pushes into the live shards, where the merge's global-min
-            // comparison picks it up — staged windows are unaffected.
-            if self.pending_churn > 0
-                && self.must_flush_before(self.peek_windowed().map(|(t, c, _)| (t, c)))
-            {
-                self.flush_rates();
-            }
-            let Some((t, _class, src)) = self.peek_windowed() else {
-                break;
-            };
-            if t > tmax {
-                break;
-            }
-            let ev = self.pop_windowed(src);
-            if self.discard_if_stale(&ev.kind) {
+            if let Some(pid) = self.running.take() {
+                let req = self.procs[pid.0 as usize].slot.wait_request();
+                let at_once = req.answered_at_once();
+                self.handle_request(pid, req);
+                // A process waiting on an at-once request may spin for its
+                // grant; the classification must match what the kernel did.
+                debug_assert!(
+                    !at_once || matches!(self.runnable.front(), Some(&(p, _)) if p == pid),
+                    "request classified as answered at once was not resumed first"
+                );
                 continue;
             }
-            self.advance_to(ev.t);
-            self.events_processed += 1;
-            self.apply_event(ev.kind);
-        }
-    }
-
-    /// Pre-drain the next window. Each shard pops its events with
-    /// `t <= t0 + lookahead` (bounded by [`WindowPolicy::max_drain_per_shard`])
-    /// into that shard's staged queue — pure motion preserving per-shard pop
-    /// order, so the per-shard drains can run concurrently. Afterwards the
-    /// kernel thread clears the drained completions' owner handles
-    /// (serially: flow/action slots are recycled, so only the kernel may
-    /// touch them) which routes later cancels/re-stamps of those owners
-    /// onto the stale-generation path the merge already re-validates.
-    fn plan_window(&mut self) {
-        let EventQueue::Sharded(sh) = &mut self.events else {
-            return;
-        };
-        let Some(first) = sh.peek() else {
-            return;
-        };
-        // Infinity-safe: a single-cluster grid has no WAN latency and an
-        // infinite horizon; the per-shard cap bounds the window instead.
-        let horizon = first.t + self.lookahead;
-        let cap = self.wpolicy.max_drain_per_shard;
-        let fan_out = self.pool.is_some()
-            && (self.wpolicy.force_parallel || multicore())
-            && sh.len() >= self.wpolicy.min_parallel_drain;
-        let shards = sh.shards_mut();
-        let nparts = shards.len();
-        let mut drained = vec![0usize; nparts];
-        if fan_out {
-            let pool = self.pool.as_ref().expect("gated on pool presence");
-            let mut closures: Vec<Box<dyn FnMut() + Send>> = shards
-                .iter_mut()
-                .zip(self.staged.iter_mut())
-                .zip(drained.iter_mut())
-                .map(|((heap, staged), cnt)| {
-                    Box::new(move || *cnt = Self::drain_shard(heap, staged, horizon, cap))
-                        as Box<dyn FnMut() + Send>
-                })
-                .collect();
-            let mut jobs: Vec<Job<'_>> = closures.iter_mut().map(|b| &mut **b as Job<'_>).collect();
-            pool.run_batch(&mut jobs);
-        } else {
-            for (s, heap) in shards.iter_mut().enumerate() {
-                drained[s] = Self::drain_shard(heap, &mut self.staged[s], horizon, cap);
-            }
-        }
-        let total: usize = drained.iter().sum();
-        self.staged_total += total;
-        self.events_predrained += total as u64;
-        self.windows_planned += 1;
-        // Serial handle-clearing pass (see the doc comment above).
-        for s in 0..nparts {
-            for k in 0..self.staged[s].len() {
-                match self.staged[s][k].kind {
-                    EventKind::CpuDone { id, gen } => {
-                        if let Some(a) = self.cpu[id].as_mut() {
-                            if a.gen == gen {
-                                a.ev = NO_HANDLE;
-                            }
-                        }
-                    }
-                    EventKind::FlowDone { id, gen } => {
-                        if let Some(f) = self.flows[id].as_mut() {
-                            if f.gen == gen {
-                                f.ev = NO_HANDLE;
-                            }
-                        }
-                    }
-                    _ => {}
+            if let Some((pid, grant)) = self.runnable.pop_front() {
+                if self.procs[pid.0 as usize].state == PState::Alive {
+                    // Virtual time cannot move until this process's next
+                    // request is handled, so the stamp stays its clock.
+                    self.procs[pid.0 as usize].slot.send_grant(grant, self.now);
+                    self.running = Some(pid);
                 }
+                continue;
             }
+            return;
         }
     }
 
-    /// Pop one shard's current window (events up to `horizon`, at most
-    /// `cap`) into its staged queue. Returns the number drained.
-    fn drain_shard(
-        heap: &mut IndexedHeap,
-        staged: &mut VecDeque<Event>,
-        horizon: f64,
-        cap: usize,
-    ) -> usize {
-        let mut n = 0;
-        while n < cap {
-            match heap.peek() {
-                Some(ev) if ev.t <= horizon => {}
-                _ => break,
+    /// Staleness is decided before the clock moves: a discarded event
+    /// must be completely unobservable, including through `end_time`
+    /// and the accrual sweep. Skipping `advance_to` on a stale pop is
+    /// exact — no rate changes at a stale pop, and accrual is linear in
+    /// time. Cancellations remove their event from the queue, so this is
+    /// a guard that counts what slips through, not a hot path.
+    fn discard_if_stale(&mut self, kind: &EventKind) -> bool {
+        let stale = match *kind {
+            EventKind::CpuDone { id, gen } => {
+                self.cpu[id].as_ref().map(|a| a.gen == gen) != Some(true)
             }
-            staged.push_back(heap.pop().expect("peeked event"));
-            n += 1;
-        }
-        n
-    }
-
-    /// The source holding the globally next event under the kernel's strict
-    /// total order: a staged window front or the live sharded heap. Returns
-    /// the winner's `(t, class)` too — the coalesced-recompute flush rule
-    /// needs both to decide whether pending churn must solve first.
-    fn peek_windowed(&self) -> Option<(f64, u8, WindowSource)> {
-        let EventQueue::Sharded(sh) = &self.events else {
-            unreachable!("windowed loop requires the sharded queue");
+            EventKind::FlowDone { id, gen } => {
+                self.flows[id].as_ref().map(|f| f.active && f.gen == gen) != Some(true)
+            }
+            _ => false,
         };
-        let mut best: Option<(&Event, WindowSource)> = sh.peek().map(|e| (e, WindowSource::Heap));
-        for (s, q) in self.staged.iter().enumerate() {
-            if let Some(ev) = q.front() {
-                if best.is_none_or(|(b, _)| ev.fires_before(b)) {
-                    best = Some((ev, WindowSource::Staged(s)));
-                }
-            }
+        if stale {
+            self.stale_discarded += 1;
         }
-        best.map(|(e, src)| (e.t, e.class, src))
-    }
-
-    /// Pop the event [`Self::peek_windowed`] selected.
-    fn pop_windowed(&mut self, src: WindowSource) -> Event {
-        match src {
-            WindowSource::Heap => {
-                let EventQueue::Sharded(sh) = &mut self.events else {
-                    unreachable!("windowed loop requires the sharded queue");
-                };
-                sh.pop().expect("peeked event")
-            }
-            WindowSource::Staged(s) => {
-                self.staged_total -= 1;
-                self.staged[s].pop_front().expect("peeked staged event")
-            }
-        }
+        stale
     }
 
     fn finish(mut self) -> RunReport {
-        // Join the window workers first; nothing below fans out.
-        self.pool = None;
         let mut unfinished = Vec::new();
         let mut died = Vec::new();
         for p in &self.procs {
             match p.state {
                 PState::Alive => {
                     unfinished.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill, self.now);
+                    p.slot.send_grant(Grant::Kill, self.now);
                 }
                 PState::Died => {
                     died.push(p.name.to_string());
-                    p.port.send_grant(Grant::Kill, self.now);
+                    p.slot.send_grant(Grant::Kill, self.now);
                 }
                 _ => {}
             }
@@ -1524,30 +813,17 @@ impl Engine {
                 .counter_add("sim.events_applied", self.events_processed);
             self.obs
                 .counter_add("sim.events_stale_discarded", self.stale_discarded);
-            self.obs
-                .counter_add("sim.heap_compactions", self.compactions);
             self.obs.counter_add("sim.recomputes", self.recomputes);
-            // Timing split: `recomputes` counts churn notifications (a
-            // timing-invariant property of the scenario), `solves` the rate
-            // solves actually run, `coalesced` the same-instant churns a
-            // deferred solve absorbed. Eager: solves == recomputes.
+            // `recomputes` counts churn notifications (a property of the
+            // scenario), `solves` the rate solves run, `coalesced` the
+            // same-instant churns a solve absorbed:
+            // solves + coalesced == recomputes.
             self.obs.counter_add("sim.recompute.solves", self.solves);
             self.obs
                 .counter_add("sim.recompute.coalesced", self.coalesced_absorbed);
             self.obs.gauge_set("sim.end_time", self.now);
-            // Staged-but-unapplied window events are still pending events;
-            // `staged_total` is 0 outside windowed mode, so serial
-            // snapshots are unchanged byte for byte.
-            self.obs.gauge_set(
-                "sim.final_heap_len",
-                (self.events.len() + self.staged_total) as f64,
-            );
-            if matches!(self.kernel, KernelMode::Windowed { .. }) {
-                self.obs
-                    .counter_add("sim.windows_planned", self.windows_planned);
-                self.obs
-                    .counter_add("sim.events_predrained", self.events_predrained);
-            }
+            self.obs
+                .gauge_set("sim.final_heap_len", self.events.len() as f64);
         }
         RunReport {
             end_time: self.now,
@@ -1568,7 +844,7 @@ impl Engine {
 
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.last_advance;
-        if dt > 0.0 && !self.accrue_parallel(dt) {
+        if dt > 0.0 {
             for a in self.cpu.iter_mut().flatten() {
                 let done = (a.rate * dt).min(a.remaining);
                 self.host_flops[a.host] += done;
@@ -1585,145 +861,16 @@ impl Engine {
         self.now = t;
     }
 
-    /// Fan the accrual sweep out to the worker pool when it pays, returning
-    /// `false` (sweep left to the serial loops above) otherwise.
-    ///
-    /// Bitwise identical to the serial sweep by construction: CPU actions
-    /// are bucketed by their host's partition in ascending id order — the
-    /// serial traversal order — so each host's flop accumulation happens in
-    /// exactly the serial summation order on exactly the one job owning
-    /// that partition, and flows touch only their own `remaining`, making
-    /// any flow chunking exact. Neither bucketing nor chunk count can
-    /// change a result bit; only where the FLOP runs.
-    fn accrue_parallel(&mut self, dt: f64) -> bool {
-        let Some(pool) = self.pool.as_ref() else {
-            return false;
-        };
-        if !(self.wpolicy.force_parallel || multicore()) {
-            return false;
-        }
-        if self.cpu.len() + self.active_flows.len() < self.wpolicy.min_parallel_accrual {
-            return false;
-        }
-        let nparts = self.nparts as usize;
-        if self.accrual_parts.len() != nparts {
-            self.accrual_parts = (0..nparts).map(|_| Vec::new()).collect();
-        }
-        for b in &mut self.accrual_parts {
-            b.clear();
-        }
-        for (id, slot) in self.cpu.iter().enumerate() {
-            if let Some(a) = slot {
-                self.accrual_parts[self.part_of_host[a.host] as usize].push(id as u32);
-            }
-        }
-        let ptrs = EntityPtrs {
-            cpu: self.cpu.as_mut_ptr(),
-            flows: self.flows.as_mut_ptr(),
-            host_flops: self.host_flops.as_mut_ptr(),
-        };
-        let mut closures: Vec<Box<dyn FnMut() + Send>> = Vec::new();
-        for ids in self.accrual_parts.iter().filter(|v| !v.is_empty()) {
-            let ids: &[u32] = ids;
-            // Capture the pointer bundle whole so its `Send` impl applies
-            // (disjoint-field capture would smuggle bare raw pointers).
-            let p = ptrs;
-            closures.push(Box::new(move || {
-                let p = p;
-                for &idu in ids {
-                    // SAFETY: each live action id appears in exactly one
-                    // partition bucket, and a partition's hosts belong to
-                    // no other bucket, so the action slot and the
-                    // `host_flops` cell are touched by this job alone.
-                    unsafe {
-                        let a = (*p.cpu.add(idu as usize))
-                            .as_mut()
-                            .expect("bucketed action is live");
-                        let done = (a.rate * dt).min(a.remaining);
-                        *p.host_flops.add(a.host) += done;
-                        a.remaining -= done;
-                    }
-                }
-            }));
-        }
-        let nflows = self.active_flows.len();
-        if nflows > 0 {
-            let chunk = nflows.div_ceil(pool.workers() + 1);
-            for ch in self.active_flows.chunks(chunk) {
-                let p = ptrs;
-                closures.push(Box::new(move || {
-                    let p = p;
-                    for &fi in ch {
-                        // SAFETY: each active flow id appears exactly once
-                        // in `active_flows`, so exactly one chunk job
-                        // touches this slot.
-                        unsafe {
-                            let f = (*p.flows.add(fi as usize))
-                                .as_mut()
-                                .expect("active flow indexed");
-                            let moved = (f.rate * dt).min(f.remaining);
-                            f.remaining -= moved;
-                        }
-                    }
-                }));
-            }
-        }
-        let mut jobs: Vec<Job<'_>> = closures.iter_mut().map(|b| &mut **b as Job<'_>).collect();
-        pool.run_batch(&mut jobs);
-        true
-    }
-
-    /// Rebuild the event heap without stale completion events once they
-    /// dominate it. Stale-mark mode only — the indexed queue removes
-    /// cancelled events eagerly and never accumulates dead weight. Pop
-    /// order is a strict total order on `(t, class, key, seq)`, so
-    /// rebuilding cannot reorder live events.
-    fn maybe_compact(&mut self) {
-        let EventQueue::Stale(heap) = &mut self.events else {
-            return;
-        };
-        if !self
-            .compaction
-            .should_compact(self.stale_events, heap.len())
-        {
-            return;
-        }
-        let drained = std::mem::take(heap).into_vec();
-        let mut kept = Vec::with_capacity(drained.len() - self.stale_events);
-        for ev in drained {
-            let keep = match ev.kind {
-                EventKind::CpuDone { id, gen } => {
-                    self.cpu[id].as_ref().map(|a| a.gen == gen) == Some(true)
-                }
-                EventKind::FlowDone { id, gen } => {
-                    self.flows[id].as_ref().map(|f| f.active && f.gen == gen) == Some(true)
-                }
-                _ => true,
-            };
-            if keep {
-                kept.push(ev);
-            }
-        }
-        *heap = BinaryHeap::from(kept);
-        self.stale_events = 0;
-        self.compactions += 1;
-    }
-
-    /// Note a churn (the site already marked its dirty hosts/links). Under
-    /// [`RecomputeTiming::Eager`] the solve runs inline, exactly as it
-    /// always did; under [`RecomputeTiming::Coalesced`] the churn joins the
-    /// pending burst and the run loop flushes it before the rates become
-    /// observable (see [`Self::must_flush_before`]).
+    /// Note a churn (the site already marked its dirty hosts/links). The
+    /// churn joins the pending burst, and the run loop solves the burst
+    /// before its rates become observable (see [`Self::must_flush_before`]).
     fn recompute(&mut self) {
         self.recomputes += 1;
         self.pending_churn += 1;
-        if self.timing == RecomputeTiming::Eager {
-            self.flush_rates();
-        }
     }
 
     /// Whether a pending churn burst must be solved before applying the
-    /// next event (`peeked = (t, class)` of the run loop's candidate, or
+    /// next event (`peeked` is the time of the run loop's candidate, or
     /// `None` when no event is queued).
     ///
     /// The burst may keep growing across *every* same-instant event —
@@ -1747,26 +894,24 @@ impl Engine {
     ///
     /// The one caveat is floating point: `now + remaining / rate` can in
     /// principle round down to `now` when the quotient is below half an
-    /// ulp of `now`, which would let an eager solve pop that completion
-    /// earlier within the instant than the deferred solve does. DESIGN.md
-    /// records this as the pinned modeling assumption behind the flush
-    /// rule; the randomized determinism suites probe it continuously.
+    /// ulp of `now`. The deferred solve would then stamp a completion at
+    /// `now` behind same-instant events the burst was deferred across, so
+    /// its place within the instant would depend on when the solve ran.
+    /// DESIGN.md records this as the pinned modeling assumption behind the
+    /// flush rule; the golden and randomized determinism suites probe it.
     #[inline]
-    fn must_flush_before(&self, peeked: Option<(f64, u8)>) -> bool {
-        match peeked {
-            None => true,
-            Some((t, _class)) => t > self.now,
-        }
+    fn must_flush_before(&self, peeked: Option<f64>) -> bool {
+        peeked.is_none_or(|t| t > self.now)
     }
 
     /// Re-derive rates and reschedule completions for the pending churn
-    /// burst (a burst of one, under eager timing).
+    /// burst.
     fn flush_rates(&mut self) {
         debug_assert!(self.pending_churn > 0, "flush without pending churn");
         self.solves += 1;
         self.coalesced_absorbed += (self.pending_churn - 1) as u64;
-        // Dirty marking happens in every mode, so the dirty-set sizes are
-        // meaningful (if unused) under Legacy/Full too. Gated: building the
+        // Dirty marking happens in both modes, so the dirty-set sizes are
+        // meaningful (if unused) under Full too. Gated: building the
         // histogram observations per solve is the only non-counter cost.
         if self.obs.is_enabled() {
             self.obs
@@ -1781,121 +926,7 @@ impl Engine {
             );
         }
         self.pending_churn = 0;
-        match self.mode {
-            RecomputeMode::Legacy => self.recompute_legacy(),
-            RecomputeMode::Full => self.recompute_scoped(true),
-            RecomputeMode::Incremental => self.recompute_scoped(false),
-        }
-    }
-
-    /// The pre-change recompute: every rate re-derived globally, every
-    /// generation re-stamped, every completion event re-pushed, routes
-    /// cloned per solve.
-    fn recompute_legacy(&mut self) {
-        let now = self.now;
-        let nhosts = self.grid.hosts().len();
-        let mut counts = vec![0usize; nhosts];
-        for a in self.cpu.iter().flatten() {
-            counts[a.host] += 1;
-        }
-        let mut cpu_events = Vec::new();
-        for (id, slot) in self.cpu.iter_mut().enumerate() {
-            if let Some(a) = slot {
-                let h = &self.grid.hosts()[a.host];
-                let had_pending = a.gen != 0 && a.rate > 0.0;
-                let rate = cpu_share(h.speed, h.cores, counts[a.host], self.host_load[a.host]);
-                if had_pending && a.due == now {
-                    // Due-now guard (see `CpuAction::due`): the event fires
-                    // this instant under any rate; keep its stamp.
-                    a.rate = rate;
-                    continue;
-                }
-                a.rate = rate;
-                a.gen = self.gen_counter;
-                self.gen_counter += 1;
-                if a.rate > 0.0 {
-                    // Defer the cancel into the re-push so the indexed
-                    // queue can overwrite the old event in place.
-                    cpu_events.push((now + a.remaining / a.rate, id, a.gen, had_pending));
-                } else if had_pending {
-                    Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut a.ev);
-                    a.due = f64::INFINITY;
-                }
-            }
-        }
-        for (t, id, gen, had_pending) in cpu_events {
-            let a = self.cpu[id].as_mut().expect("live action");
-            let shard = self.part_of_host[a.host];
-            a.due = t;
-            Self::restamp_ev(
-                &mut self.events,
-                &mut self.stale_events,
-                &mut self.seq,
-                shard,
-                &mut a.ev,
-                had_pending,
-                t,
-                EventKind::CpuDone { id, gen },
-            );
-        }
-        // Flat-array global solve: capacities are hoisted into engine state
-        // (`link_caps`) and routes referenced in place, so the reference path
-        // allocates nothing on the steady path either — legacy stays slow by
-        // *scope* (global, every solve), not by incidental allocation.
-        let s = &mut self.scratch;
-        s.comp_flows.clear();
-        s.offsets.clear();
-        s.links_flat.clear();
-        for (id, slot) in self.flows.iter().enumerate() {
-            if let Some(f) = slot {
-                if f.active {
-                    s.comp_flows.push(id as u32);
-                    let links = &self.routes_tbl[f.route as usize].links;
-                    s.offsets
-                        .push((s.links_flat.len() as u32, links.len() as u32));
-                    s.links_flat.extend_from_slice(links);
-                }
-            }
-        }
-        s.fair
-            .solve(&s.offsets, &s.links_flat, &self.link_caps, &mut s.rates);
-        let mut flow_events = Vec::new();
-        for (k, &fid) in self.scratch.comp_flows.iter().enumerate() {
-            let id = fid as usize;
-            let f = self.flows[id].as_mut().expect("active flow");
-            let had_pending = f.gen != 0 && f.rate > 0.0;
-            let rate = self.scratch.rates[k];
-            if had_pending && f.due == now {
-                // Due-now guard (see `CpuAction::due`).
-                f.rate = rate;
-                continue;
-            }
-            f.rate = rate;
-            f.gen = self.gen_counter;
-            self.gen_counter += 1;
-            if f.rate > 0.0 && f.rate.is_finite() {
-                flow_events.push((now + f.remaining / f.rate, id, f.gen, had_pending));
-            } else if had_pending {
-                Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut f.ev);
-                f.due = f64::INFINITY;
-            }
-        }
-        for (t, id, gen, had_pending) in flow_events {
-            let f = self.flows[id].as_mut().expect("active flow");
-            let shard = f.part;
-            f.due = t;
-            Self::restamp_ev(
-                &mut self.events,
-                &mut self.stale_events,
-                &mut self.seq,
-                shard,
-                &mut f.ev,
-                had_pending,
-                t,
-                EventKind::FlowDone { id, gen },
-            );
-        }
-        self.clear_dirty();
+        self.recompute_scoped(self.mode == RecomputeMode::Full);
     }
 
     /// Scoped recompute. With `full` set, every host with actions and every
@@ -1928,7 +959,6 @@ impl Engine {
             }
             let spec = &self.grid.hosts()[h];
             let rate = cpu_share(spec.speed, spec.cores, n, self.host_load[h]);
-            let shard = self.part_of_host[h];
             for k in 0..n {
                 let id = self.host_actions[h][k] as usize;
                 let a = self.cpu[id].as_mut().expect("indexed action is live");
@@ -1948,16 +978,14 @@ impl Engine {
                     a.due = now + a.remaining / rate;
                     Self::restamp_ev(
                         &mut self.events,
-                        &mut self.stale_events,
                         &mut self.seq,
-                        shard,
                         &mut a.ev,
                         had_pending,
                         a.due,
                         EventKind::CpuDone { id, gen: a.gen },
                     );
                 } else if had_pending {
-                    Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut a.ev);
+                    Self::cancel_ev(&mut self.events, &mut a.ev);
                     a.due = f64::INFINITY;
                 }
             }
@@ -2121,16 +1149,14 @@ impl Engine {
                 f.due = now + f.remaining / rate;
                 Self::restamp_ev(
                     &mut self.events,
-                    &mut self.stale_events,
                     &mut self.seq,
-                    f.part,
                     &mut f.ev,
                     had_pending,
                     f.due,
                     EventKind::FlowDone { id, gen: f.gen },
                 );
             } else if had_pending {
-                Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut f.ev);
+                Self::cancel_ev(&mut self.events, &mut f.ev);
                 f.due = f64::INFINITY;
             }
         }
@@ -2413,7 +1439,6 @@ impl Engine {
             act_idx: u32::MAX,
             ev: NO_HANDLE,
             due: f64::INFINITY,
-            part: self.part_of_host[src.0 as usize],
             payload,
             on_done,
         };
@@ -2535,7 +1560,7 @@ impl Engine {
                         .expect("action live on failed host");
                     if a.gen != 0 && a.rate > 0.0 {
                         let mut ev = a.ev;
-                        Self::cancel_ev(&mut self.events, &mut self.stale_events, &mut ev);
+                        Self::cancel_ev(&mut self.events, &mut ev);
                     }
                     self.free_cpu.push(idu);
                 }
@@ -2657,35 +1682,32 @@ mod tests {
         ];
         assert!(!blocking.iter().any(Request::answered_at_once));
 
-        for mode in [HandoffMode::Direct, HandoffMode::Channel] {
-            let mut eng = Engine::new(g.clone());
-            eng.set_handoff_mode(mode);
-            let (k1, k2) = (mail_key(&[1]), mail_key(&[2]));
-            eng.spawn("a", a, move |ctx| {
-                ctx.compute(0.0);
-                ctx.sleep(0.0);
-                ctx.isend(k1, b, 10.0, Box::new(()));
-                assert!(ctx.try_recv(k2).is_none());
-                ctx.spawn("child", a, |ctx| ctx.compute(0.0));
-                ctx.inject_load(a, 1.0);
-                ctx.remove_load(a, 1.0);
-                ctx.trace("x", 1.0);
-                ctx.compute(50.0);
-                ctx.sleep(0.5);
-                ctx.send(k2, b, 10.0, Box::new(()));
-                ctx.transfer(b, 10.0);
-            });
-            eng.spawn("b", b, move |ctx| {
-                ctx.sleep(1.0);
-                // Already delivered: answered at once though classified
-                // as blocking (the check runs one way only).
-                let _ = ctx.recv(k1);
-                let _ = ctx.recv(k2);
-            });
-            let r = eng.run();
-            assert_eq!(r.completed.len(), 3, "{mode:?}: {r:?}");
-            assert!(r.failed.is_empty() && r.unfinished.is_empty());
-        }
+        let mut eng = Engine::new(g);
+        let (k1, k2) = (mail_key(&[1]), mail_key(&[2]));
+        eng.spawn("a", a, move |ctx| {
+            ctx.compute(0.0);
+            ctx.sleep(0.0);
+            ctx.isend(k1, b, 10.0, Box::new(()));
+            assert!(ctx.try_recv(k2).is_none());
+            ctx.spawn("child", a, |ctx| ctx.compute(0.0));
+            ctx.inject_load(a, 1.0);
+            ctx.remove_load(a, 1.0);
+            ctx.trace("x", 1.0);
+            ctx.compute(50.0);
+            ctx.sleep(0.5);
+            ctx.send(k2, b, 10.0, Box::new(()));
+            ctx.transfer(b, 10.0);
+        });
+        eng.spawn("b", b, move |ctx| {
+            ctx.sleep(1.0);
+            // Already delivered: answered at once though classified as
+            // blocking (the check runs one way only).
+            let _ = ctx.recv(k1);
+            let _ = ctx.recv(k2);
+        });
+        let r = eng.run();
+        assert_eq!(r.completed.len(), 3, "{r:?}");
+        assert!(r.failed.is_empty() && r.unfinished.is_empty());
     }
 
     #[test]
@@ -3161,40 +2183,10 @@ mod tests {
         assert_eq!(inc, full);
     }
 
-    #[test]
-    fn incremental_matches_legacy_timing() {
-        // Legacy re-stamps everything, so stale-pop timing chunks floating
-        // point accrual differently; results agree to tolerance, not bits.
-        let inc = mode_scenario(RecomputeMode::Incremental);
-        let leg = mode_scenario(RecomputeMode::Legacy);
-        assert_eq!(inc.completed, leg.completed);
-        assert_eq!(inc.events_processed, leg.events_processed);
-        let si = inc.trace.series("done");
-        let sl = leg.trace.series("done");
-        assert_eq!(si.len(), sl.len());
-        for ((ti, vi), (tl, vl)) in si.iter().zip(&sl) {
-            assert!((ti - tl).abs() < 1e-6, "times differ: {ti} vs {tl}");
-            assert!((vi - vl).abs() < 1e-6);
-        }
-        for (x, y) in inc.host_flops.iter().zip(&leg.host_flops) {
-            assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-        }
-    }
-
     /// Three clusters over WAN links, cross-cluster message rings, local
-    /// contention, external load churn and a host failure — every event
-    /// class the windowed kernel must merge correctly.
-    fn cross_cluster_scenario(kernel: KernelMode, policy: WindowPolicy) -> RunReport {
-        cross_cluster_scenario_tuned(
-            EngineTune {
-                kernel,
-                ..Default::default()
-            },
-            policy,
-        )
-    }
-
-    fn cross_cluster_scenario_tuned(tune: EngineTune, policy: WindowPolicy) -> RunReport {
+    /// contention, external load churn and a host failure: every event
+    /// class the kernel schedules.
+    fn cross_cluster_scenario(mode: RecomputeMode) -> RunReport {
         let mut b = GridBuilder::new();
         let mut all_hosts = Vec::new();
         let mut clusters = Vec::new();
@@ -3209,8 +2201,7 @@ mod tests {
         b.connect(clusters[0], clusters[2], 5e6, 0.05);
         let grid = b.build().unwrap();
         let mut eng = Engine::new(grid);
-        eng.apply_tune(tune);
-        eng.set_window_policy(policy);
+        eng.set_recompute_mode(mode);
         // Cross-cluster ring: each hop computes then forwards.
         for ring in 0..3u64 {
             // Host index stays in {0, 1}: index 2 of cluster C is the
@@ -3258,192 +2249,55 @@ mod tests {
         eng.run_until(500.0)
     }
 
-    /// The windowed kernel replays the serial applied-event sequence
-    /// exactly, so every result — times, flops, bytes, trace — is bitwise
-    /// identical at any worker count, pool dispatch forced on or off.
-    #[test]
-    fn windowed_matches_serial_bitwise_at_any_worker_count() {
-        let serial = cross_cluster_scenario(KernelMode::Serial, WindowPolicy::default());
-        assert!(
-            serial.trace.series("ring_done").len() == 3,
-            "scenario exercises all rings"
-        );
-        for workers in [1, 2, 4] {
-            for force_parallel in [false, true] {
-                let policy = WindowPolicy {
-                    force_parallel,
-                    min_parallel_drain: 0,
-                    min_parallel_accrual: 0,
-                    ..WindowPolicy::default()
-                };
-                let windowed = cross_cluster_scenario(KernelMode::Windowed { workers }, policy);
-                assert_eq!(
-                    serial, windowed,
-                    "workers={workers} force_parallel={force_parallel}"
-                );
-            }
-        }
-    }
-
-    /// Window policy knobs are dispatch-only: no threshold choice may
-    /// perturb a single result bit.
-    #[test]
-    fn windowed_policy_does_not_perturb_results() {
-        let reference =
-            cross_cluster_scenario(KernelMode::Windowed { workers: 2 }, WindowPolicy::default());
-        for policy in [
-            WindowPolicy {
-                max_drain_per_shard: 1,
-                ..WindowPolicy::default()
-            },
-            WindowPolicy {
-                max_drain_per_shard: 7,
-                min_parallel_drain: 0,
-                min_parallel_accrual: 0,
-                force_parallel: true,
-            },
-            WindowPolicy {
-                max_drain_per_shard: 100_000,
-                min_parallel_drain: 1_000_000,
-                min_parallel_accrual: 1_000_000,
-                force_parallel: false,
-            },
-        ] {
-            let r = cross_cluster_scenario(KernelMode::Windowed { workers: 2 }, policy);
-            assert_eq!(reference, r, "{policy:?}");
-        }
-    }
-
-    /// A single-cluster grid has no WAN latency: the lookahead is infinite
-    /// and the drain cap alone bounds windows. Still bit-identical.
-    #[test]
-    fn windowed_handles_single_cluster_infinite_lookahead() {
-        let run = |kernel: KernelMode| {
-            let (g, h0, h1) = two_host_grid();
-            let mut eng = Engine::new(g);
-            eng.apply_tune(EngineTune {
-                kernel,
-                ..Default::default()
-            });
-            let key = mail_key(&[9]);
-            eng.spawn("a", h0, move |ctx| {
-                ctx.compute(120.0);
-                ctx.send(key, h1, 5e5, Box::new(1u8));
-            });
-            eng.spawn("b", h1, move |ctx| {
-                let _ = ctx.recv(key);
-                ctx.compute(60.0);
-                let t = ctx.now();
-                ctx.trace("done", t);
-            });
-            eng.run()
-        };
-        let serial = run(KernelMode::Serial);
-        let windowed = run(KernelMode::Windowed { workers: 4 });
-        assert_eq!(serial, windowed);
-        assert!(serial.trace.last_value("done").is_some());
-    }
-
-    /// Switching to windowed mode and back migrates pending events (and
-    /// their cancellation handles) without loss.
-    #[test]
-    fn kernel_mode_round_trip_preserves_pending_events() {
-        let (g, h) = one_host_grid(100.0);
-        let mut eng = Engine::new(g);
-        eng.add_load_window(h, 1.0, Some(2.0), 1.0);
-        eng.spawn("w", h, |ctx| {
-            ctx.compute(180.0);
-            let t = ctx.now();
-            ctx.trace("t", t);
-        });
-        let before = eng.events.len();
-        eng.set_kernel_mode(KernelMode::Windowed { workers: 2 });
-        assert!(matches!(eng.events, EventQueue::Sharded(_)));
-        assert_eq!(eng.events.len(), before);
-        eng.set_kernel_mode(KernelMode::Serial);
-        assert!(matches!(eng.events, EventQueue::Indexed(_)));
-        assert_eq!(eng.events.len(), before);
-        let r = eng.run();
-        // 100 flops in [0,1) at full rate, 50 in [1,2) at half (load 1.0),
-        // the last 30 at full rate again: done at t = 2.3.
-        assert!((r.trace.last_value("t").unwrap() - 2.3).abs() < 1e-9);
-    }
-
-    /// Coalesced timing is a pure scheduling change: on the mixed
-    /// cross-cluster scenario (WAN flows, load windows, a host failure) the
-    /// run report matches the eager reference bit for bit under both
-    /// kernels. Unit level of the three-level pin (property:
-    /// `tests/prop_coalesced.rs`, e2e: `tests/substrate_determinism.rs`).
+    /// Coalesced recompute reproduces, bit for bit, the report the mixed
+    /// cross-cluster scenario (WAN flows, load windows, a host failure)
+    /// produced under the eager timing, recorded before coalescing became
+    /// the kernel's only timing; the scoped path and the full-scope oracle
+    /// both match it. The end-to-end goldens are in
+    /// `tests/substrate_determinism.rs`.
     #[test]
     fn coalesced_recompute_matches_eager_bitwise() {
-        for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-            let eager = cross_cluster_scenario_tuned(
-                EngineTune {
-                    kernel,
-                    recompute: RecomputeTiming::Eager,
-                    ..Default::default()
-                },
-                WindowPolicy::default(),
-            );
-            let coalesced = cross_cluster_scenario_tuned(
-                EngineTune {
-                    kernel,
-                    recompute: RecomputeTiming::Coalesced,
-                    ..Default::default()
-                },
-                WindowPolicy::default(),
-            );
-            assert_eq!(eager, coalesced, "{kernel:?}");
-        }
+        const EAGER_GOLDEN: u64 = 5632169595631989116;
+        let r = cross_cluster_scenario(RecomputeMode::Incremental);
+        assert_eq!(r.trace.series("ring_done").len(), 3, "every ring runs");
+        assert_eq!(r.died, vec!["victim".to_string()]);
+        assert_eq!(r.fingerprint(), EAGER_GOLDEN);
+        let full = cross_cluster_scenario(RecomputeMode::Full);
+        assert_eq!(full.fingerprint(), EAGER_GOLDEN);
     }
 
     /// Coalescing actually coalesces: a same-instant send burst (one
     /// process issuing several non-blocking sends back to back) runs fewer
-    /// rate solves than churn notifications, while eager runs exactly one
-    /// solve per churn. Both see the same churn count — `sim.recomputes`
-    /// is a property of the scenario, not of the timing.
+    /// rate solves than churn notifications, and every churn is either
+    /// solved or absorbed.
     #[test]
     fn coalescing_reduces_solves_on_same_instant_bursts() {
-        let run = |timing: RecomputeTiming| {
-            let (g, h0, h1) = two_host_grid();
-            let mut eng = Engine::new(g);
-            eng.apply_tune(EngineTune {
-                recompute: timing,
-                ..Default::default()
+        let (g, h0, h1) = two_host_grid();
+        let mut eng = Engine::new(g);
+        let obs = grads_obs::Obs::enabled();
+        eng.set_obs(obs.clone());
+        for i in 0..4u64 {
+            let key = mail_key(&[i]);
+            eng.spawn(&format!("s{i}"), h0, move |ctx| {
+                ctx.isend(key, h1, 1e5, Box::new(i));
             });
-            let obs = grads_obs::Obs::enabled();
-            eng.set_obs(obs.clone());
-            for i in 0..4u64 {
-                let key = mail_key(&[i]);
-                eng.spawn(&format!("s{i}"), h0, move |ctx| {
-                    ctx.isend(key, h1, 1e5, Box::new(i));
-                });
-                eng.spawn(&format!("r{i}"), h1, move |ctx| {
-                    let _ = ctx.recv(key);
-                });
-            }
-            let report = eng.run();
-            let snap = obs.snapshot();
-            (
-                report,
-                snap.counter("sim.recomputes").unwrap_or(0),
-                snap.counter("sim.recompute.solves").unwrap_or(0),
-                snap.counter("sim.recompute.coalesced").unwrap_or(0),
-            )
-        };
-        let (re, churn_e, solves_e, absorbed_e) = run(RecomputeTiming::Eager);
-        let (rc, churn_c, solves_c, absorbed_c) = run(RecomputeTiming::Coalesced);
-        assert_eq!(re, rc, "burst reports must be bit-identical");
-        assert_eq!(churn_e, churn_c, "churn count is timing-invariant");
-        assert_eq!(solves_e, churn_e, "eager solves once per churn");
-        assert_eq!(absorbed_e, 0, "eager absorbs nothing");
+            eng.spawn(&format!("r{i}"), h1, move |ctx| {
+                let _ = ctx.recv(key);
+            });
+        }
+        let report = eng.run();
+        assert_eq!(report.completed.len(), 8);
+        let snap = obs.snapshot();
+        let churn = snap.counter("sim.recomputes").unwrap_or(0);
+        let solves = snap.counter("sim.recompute.solves").unwrap_or(0);
+        let absorbed = snap.counter("sim.recompute.coalesced").unwrap_or(0);
         assert!(
-            solves_c < solves_e,
-            "coalescing must absorb same-instant churn: {solves_c} vs {solves_e}"
+            solves < churn,
+            "coalescing must absorb same-instant churn: {solves} solves for {churn} churns"
         );
         assert_eq!(
-            solves_c + absorbed_c,
-            churn_c,
+            solves + absorbed,
+            churn,
             "every churn is either solved or absorbed"
         );
     }

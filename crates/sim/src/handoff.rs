@@ -3,16 +3,12 @@
 //! The kernel grants execution to exactly one simulated process at a time,
 //! so the process ↔ kernel transport is always a strict two-party
 //! alternation: the kernel writes one grant, the process runs and writes
-//! one request, and so on. The seed implementation paid a central
-//! multiplexer for that: every request traveled through one shared
-//! `mpsc` channel (heap-allocated node per message, mutex + OS wakeup)
-//! and every grant through a second per-process channel (another node,
-//! another wakeup).
+//! one request, and so on.
 //!
-//! [`HandoffSlot`] replaces the pair with a single-slot rendezvous per
-//! process: one atomic state word, in-place message cells, and
-//! request-aware waiting. No allocation per call, no multiplexer, and
-//! when the peer responds within the spin budget no OS wakeup at all.
+//! [`HandoffSlot`] is a single-slot rendezvous per process: one atomic
+//! state word, in-place message cells, and request-aware waiting. No
+//! allocation per call, no multiplexer, and when the peer responds within
+//! the spin budget no OS wakeup at all.
 //!
 //! # Protocol
 //!
@@ -32,9 +28,9 @@
 //! parked (or about to park) in [`HandoffSlot::wait_grant`], and only the
 //! single running process can publish a request, so each cell always has
 //! exactly one writer and one reader separated by the Release/Acquire
-//! edge on `state`. Determinism is preserved by construction — the
-//! transport carries the same messages in the same order as the channel
-//! pair, it just carries them faster.
+//! edge on `state`. Determinism is preserved by construction: the
+//! transport carries one message at a time, in the order the alternation
+//! produces them.
 //!
 //! # Waiting
 //!
@@ -77,10 +73,8 @@ const SPIN: u32 = 384;
 const YIELDS: u32 = 32;
 
 /// `true` once we know this machine has more than one CPU. Computed once.
-/// Shared with the windowed kernel's dispatch gating: concurrency that
-/// cannot overlap in hardware is pure overhead.
 #[inline]
-pub(crate) fn multicore() -> bool {
+fn multicore() -> bool {
     use std::sync::atomic::AtomicU8;
     static CACHED: AtomicU8 = AtomicU8::new(0);
     match CACHED.load(Ordering::Relaxed) {

@@ -14,11 +14,10 @@
 //!   additive one-way latency.
 //!
 //! Runs are fully deterministic: exactly one simulated process executes at
-//! a time and all event ties are broken by insertion order. The kernel can
-//! execute in a conservative-parallel windowed mode (`KernelMode::Windowed`)
-//! that shards the event queue by cluster and pre-drains per-cluster event
-//! windows on a worker pool — results stay bit-identical to the serial
-//! kernel at any worker count (DESIGN.md, "Parallel kernel").
+//! a time, and same-time events pop in a strict total order. The kernel has
+//! one run loop: churn marks dirty hosts and links, and one rate solve per
+//! virtual instant re-derives the shares before the clock advances
+//! (DESIGN.md, "Coalesced recomputation").
 //!
 //! ```
 //! use grads_sim::prelude::*;
@@ -52,17 +51,12 @@ pub mod process;
 pub mod sharing;
 pub mod topology;
 pub mod trace;
-pub(crate) mod window;
 
 pub use handoff::{set_wait_policy, wait_policy, WaitPolicy};
-pub use window::WindowPolicy;
 
 /// Convenient re-exports of the commonly used types.
 pub mod prelude {
-    pub use crate::engine::{
-        CompactionPolicy, Engine, EngineTune, EventQueueMode, HandoffMode, KernelMode,
-        RecomputeMode, RecomputeTiming, RunReport,
-    };
+    pub use crate::engine::{Engine, EngineTune, RecomputeMode, RunReport};
     pub use crate::handoff::{set_wait_policy, WaitPolicy};
     pub use crate::process::{mail_key, Ctx, MailKey, Payload, ProcId, SendMode};
     pub use crate::topology::{
@@ -70,7 +64,6 @@ pub mod prelude {
         LinkId,
     };
     pub use crate::trace::{Trace, TraceKind, TraceRecord};
-    pub use crate::window::WindowPolicy;
 }
 
 pub use dml::{parse_dml, DmlError};

@@ -11,7 +11,6 @@
 
 use crate::handoff::HandoffSlot;
 use crate::topology::HostId;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -136,22 +135,12 @@ pub(crate) enum Grant {
 /// wrapper; never observed by user code.
 pub(crate) struct KillToken;
 
-/// Transport between one simulated process and the kernel.
-pub(crate) enum Endpoint {
-    /// Seed transport: shared request mpsc + per-process grant mpsc.
-    Channel {
-        req_tx: Sender<(ProcId, Request)>,
-        grant_rx: Receiver<(Grant, f64)>,
-    },
-    /// Per-process single-slot rendezvous (see [`crate::handoff`]).
-    Direct(Arc<HandoffSlot>),
-}
-
 /// Handle through which a simulated process interacts with the grid.
 pub struct Ctx {
     pub(crate) pid: ProcId,
     pub(crate) host: HostId,
-    pub(crate) ep: Endpoint,
+    /// This process's end of the kernel handoff (see [`crate::handoff`]).
+    slot: Arc<HandoffSlot>,
     /// The kernel's virtual time at the last grant. The clock cannot move
     /// while this process holds the grant, so it is the current time.
     now: f64,
@@ -162,34 +151,20 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcId, host: HostId, ep: Endpoint) -> Self {
+    pub(crate) fn new(pid: ProcId, host: HostId, slot: Arc<HandoffSlot>) -> Self {
         Ctx {
             pid,
             host,
-            ep,
+            slot,
             now: 0.0,
             labels: Vec::new(),
         }
     }
 
     fn call(&mut self, req: Request) -> Grant {
-        let (g, now) = match &self.ep {
-            Endpoint::Channel { req_tx, grant_rx } => {
-                if req_tx.send((self.pid, req)).is_err() {
-                    // Kernel is gone: the simulation ended.
-                    std::panic::panic_any(KillToken);
-                }
-                match grant_rx.recv() {
-                    Ok(x) => x,
-                    Err(_) => std::panic::panic_any(KillToken),
-                }
-            }
-            Endpoint::Direct(slot) => {
-                let at_once = req.answered_at_once();
-                slot.send_request(req);
-                slot.wait_grant(at_once)
-            }
-        };
+        let at_once = req.answered_at_once();
+        self.slot.send_request(req);
+        let (g, now) = self.slot.wait_grant(at_once);
         if let Grant::Kill = g {
             std::panic::panic_any(KillToken);
         }
@@ -201,13 +176,7 @@ impl Ctx {
     /// `false` if the kernel instead killed the process (simulation over
     /// before it ever ran). Used only by the engine's thread wrapper.
     pub(crate) fn wait_start(&mut self) -> bool {
-        let (g, now) = match &self.ep {
-            Endpoint::Channel { grant_rx, .. } => match grant_rx.recv() {
-                Ok(x) => x,
-                Err(_) => return false,
-            },
-            Endpoint::Direct(slot) => slot.wait_grant(false),
-        };
+        let (g, now) = self.slot.wait_grant(false);
         self.now = now;
         matches!(g, Grant::Unit)
     }
@@ -215,12 +184,7 @@ impl Ctx {
     /// Fire-and-forget notification to the kernel (Exit/Panic from the
     /// thread wrapper — requests that never receive a grant).
     pub(crate) fn notify(&mut self, req: Request) {
-        match &self.ep {
-            Endpoint::Channel { req_tx, .. } => {
-                let _ = req_tx.send((self.pid, req));
-            }
-            Endpoint::Direct(slot) => slot.send_request(req),
-        }
+        self.slot.send_request(req);
     }
 
     fn intern_label(&mut self, label: &str) -> Arc<str> {

@@ -5,8 +5,7 @@
 //! virtual time cannot move while a process holds the grant. This pin
 //! calls every primitive once and, right after it, traces `ctx.now()`.
 //! The kernel stamps each trace record with its own clock, so every
-//! record's time must equal its traced value bit for bit, under both
-//! transports.
+//! record's time must equal its traced value bit for bit.
 
 use grads_sim::prelude::*;
 
@@ -18,15 +17,11 @@ fn grid() -> (Grid, Vec<HostId>) {
     (b.build().unwrap(), hosts)
 }
 
-/// Run the every-primitive script under `mode`.
-fn run(mode: HandoffMode) -> RunReport {
+/// Run the every-primitive script.
+fn run() -> RunReport {
     let (grid, hosts) = grid();
     let (h0, h1) = (hosts[0], hosts[1]);
     let mut eng = Engine::new(grid);
-    eng.apply_tune(EngineTune {
-        handoff: mode,
-        ..Default::default()
-    });
     let (k_a, k_b, k_c, k_d, k_empty) = (
         mail_key(&[1]),
         mail_key(&[2]),
@@ -96,48 +91,37 @@ fn run(mode: HandoffMode) -> RunReport {
 
 #[test]
 fn every_grant_carries_the_kernel_clock() {
-    let mut per_mode = Vec::new();
-    for mode in [HandoffMode::Direct, HandoffMode::Channel] {
-        let report = run(mode);
-        assert_eq!(report.completed.len(), 2, "{mode:?}: {report:?}");
-        let stamps: Vec<(Option<ProcId>, f64, f64)> = report
-            .trace
-            .records
-            .iter()
-            .filter_map(|r| match &r.kind {
-                TraceKind::Custom { label, value } if label.as_ref() == "t" => {
-                    Some((r.pid, r.t, *value))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(stamps.len(), 21, "{mode:?}: one record per primitive");
-        for &(pid, t, value) in &stamps {
-            assert_eq!(
-                t.to_bits(),
-                value.to_bits(),
-                "{mode:?}: {pid:?} read {value} while the kernel was at {t}"
-            );
-        }
-        // The script does move the clock: compute, sleep, the rendezvous
-        // send, the recv, the long sleep, the transfer and the loaded
-        // compute each take virtual time; the at-once calls take none.
-        let main: Vec<f64> = stamps
-            .iter()
-            .filter(|s| s.0 == Some(ProcId(0)))
-            .map(|s| s.1)
-            .collect();
+    let report = run();
+    assert_eq!(report.completed.len(), 2, "{report:?}");
+    let stamps: Vec<(Option<ProcId>, f64, f64)> = report
+        .trace
+        .records
+        .iter()
+        .filter_map(|r| match &r.kind {
+            TraceKind::Custom { label, value } if label.as_ref() == "t" => {
+                Some((r.pid, r.t, *value))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stamps.len(), 21, "one record per primitive");
+    for &(pid, t, value) in &stamps {
         assert_eq!(
-            main[0], 0.125,
-            "{mode:?}: the start grant stamps the start time"
+            t.to_bits(),
+            value.to_bits(),
+            "{pid:?} read {value} while the kernel was at {t}"
         );
-        assert!(main.windows(2).all(|w| w[0] <= w[1]), "{mode:?}: {main:?}");
-        let distinct = main.windows(2).filter(|w| w[0] < w[1]).count();
-        assert_eq!(distinct, 7, "{mode:?}: {main:?}");
-        per_mode.push(stamps);
     }
-    let bits = |s: &[(Option<ProcId>, f64, f64)]| -> Vec<(Option<ProcId>, u64)> {
-        s.iter().map(|&(p, t, _)| (p, t.to_bits())).collect()
-    };
-    assert_eq!(bits(&per_mode[0]), bits(&per_mode[1]), "transports agree");
+    // The script does move the clock: compute, sleep, the rendezvous
+    // send, the recv, the long sleep, the transfer and the loaded compute
+    // each take virtual time; the at-once calls take none.
+    let main: Vec<f64> = stamps
+        .iter()
+        .filter(|s| s.0 == Some(ProcId(0)))
+        .map(|s| s.1)
+        .collect();
+    assert_eq!(main[0], 0.125, "the start grant stamps the start time");
+    assert!(main.windows(2).all(|w| w[0] <= w[1]), "{main:?}");
+    let distinct = main.windows(2).filter(|w| w[0] < w[1]).count();
+    assert_eq!(distinct, 7, "{main:?}");
 }

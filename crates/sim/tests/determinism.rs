@@ -4,27 +4,14 @@
 //! compute on heterogeneous clusters, cross-cluster sends over shared WAN
 //! links, injected external load windows, and one mid-run host failure that
 //! kills processes while their flows are in flight. Two independent runs
-//! must agree bit for bit, and the scoped/dirty-set modes must reproduce
-//! the scope-everything reference exactly.
+//! must agree bit for bit, the scoped/dirty-set mode must reproduce the
+//! scope-everything oracle exactly, and both must reproduce the report
+//! recorded under eager recomputation.
 
 use grads_sim::prelude::*;
 
 /// Build and run the mixed fault scenario under the given recompute mode.
 fn scenario(mode: RecomputeMode) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), EngineTune::default())
-}
-
-/// Same scenario, with an explicit heap-compaction policy.
-fn scenario_with(mode: RecomputeMode, policy: CompactionPolicy) -> RunReport {
-    scenario_full(mode, policy, EngineTune::default())
-}
-
-/// Same scenario, with explicit substrate tuning (transport + event queue).
-fn scenario_tuned(mode: RecomputeMode, tune: EngineTune) -> RunReport {
-    scenario_full(mode, CompactionPolicy::default(), tune)
-}
-
-fn scenario_full(mode: RecomputeMode, policy: CompactionPolicy, tune: EngineTune) -> RunReport {
     let mut b = GridBuilder::new();
     let mut clusters = Vec::new();
     let mut hosts = Vec::new();
@@ -45,8 +32,6 @@ fn scenario_full(mode: RecomputeMode, policy: CompactionPolicy, tune: EngineTune
 
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_recompute_mode(mode);
-    eng.set_compaction_policy(policy);
-    eng.apply_tune(tune);
     eng.panic_on_failure = false;
     // External load competing with the workers' compute actions.
     eng.add_load_window(hosts[0], 0.5, Some(3.0), 1.5);
@@ -84,11 +69,7 @@ fn scenario_full(mode: RecomputeMode, policy: CompactionPolicy, tune: EngineTune
 /// per-link bytes.
 #[test]
 fn two_runs_are_bit_identical() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
+    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
         let a = scenario(mode);
         let b = scenario(mode);
         assert_eq!(a.end_time, b.end_time, "{mode:?}: end_time");
@@ -108,186 +89,19 @@ fn incremental_matches_full_bitwise_under_faults() {
     assert_eq!(inc, full);
 }
 
-/// Against the pre-change global recompute the results agree to tolerance:
-/// the legacy path re-stamps every action on every event, which only
-/// changes *when* floating-point accrual is chunked, never the totals.
-#[test]
-fn incremental_matches_legacy_to_tolerance() {
-    let inc = scenario(RecomputeMode::Incremental);
-    let leg = scenario(RecomputeMode::Legacy);
-    assert_eq!(inc.completed, leg.completed);
-    assert_eq!(inc.died, leg.died);
-    assert_eq!(inc.unfinished, leg.unfinished);
-    assert_eq!(inc.events_processed, leg.events_processed);
-    assert!(
-        (inc.end_time - leg.end_time).abs() <= 1e-6 * leg.end_time.max(1.0),
-        "end_time: inc {} leg {}",
-        inc.end_time,
-        leg.end_time
-    );
-    for (x, y) in inc.host_flops.iter().zip(&leg.host_flops) {
-        assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-    }
-    for (x, y) in inc.link_bytes.iter().zip(&leg.link_bytes) {
-        assert!((x - y).abs() <= 1e-6 * x.abs().max(1.0));
-    }
-}
-
-/// Heap compaction is a pure heap rebuild: any policy — the default, never
-/// compacting, or compacting at every opportunity — must produce
-/// bit-identical results (end time, trace, totals, events processed). Only
-/// the stale-discard bookkeeping may differ, and in the expected
-/// direction: never-compact pops every stale event individually.
-#[test]
-fn compaction_policy_does_not_perturb_results() {
-    let mode = RecomputeMode::Incremental;
-    let baseline = scenario_with(mode, CompactionPolicy::default());
-    let never = scenario_with(mode, CompactionPolicy::never());
-    let eager = scenario_with(
-        mode,
-        CompactionPolicy {
-            min_stale: 0,
-            min_stale_fraction: 0.0,
-        },
-    );
-    for (label, r) in [("never", &never), ("eager", &eager)] {
-        assert_eq!(baseline.end_time, r.end_time, "{label}: end_time");
-        assert_eq!(baseline.trace, r.trace, "{label}: trace");
-        assert_eq!(baseline.host_flops, r.host_flops, "{label}: host_flops");
-        assert_eq!(baseline.link_bytes, r.link_bytes, "{label}: link_bytes");
-        assert_eq!(
-            baseline.events_processed, r.events_processed,
-            "{label}: events_processed"
-        );
-        assert_eq!(baseline.completed, r.completed, "{label}: completed");
-        assert_eq!(baseline.died, r.died, "{label}: died");
-    }
-}
-
-/// The direct (single-slot rendezvous) handoff and the seed channel
-/// transport carry the same messages in the same order, so every recompute
-/// mode must produce bit-identical reports across transports.
-#[test]
-fn direct_handoff_matches_channel_bitwise() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let direct = scenario_tuned(
-            mode,
-            EngineTune {
-                handoff: HandoffMode::Direct,
-                ..Default::default()
-            },
-        );
-        let channel = scenario_tuned(
-            mode,
-            EngineTune {
-                handoff: HandoffMode::Channel,
-                ..Default::default()
-            },
-        );
-        assert_eq!(direct, channel, "{mode:?}: direct vs channel transport");
-    }
-}
-
-/// The indexed (position-tracked) event queue and the seed heap+stale-mark
-/// queue pop identical live-event sequences, so reports must be
-/// bit-identical across queue modes too.
-#[test]
-fn indexed_queue_matches_stale_mark_bitwise() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let indexed = scenario_tuned(
-            mode,
-            EngineTune {
-                queue: EventQueueMode::Indexed,
-                ..Default::default()
-            },
-        );
-        let stale = scenario_tuned(
-            mode,
-            EngineTune {
-                queue: EventQueueMode::StaleMark,
-                ..Default::default()
-            },
-        );
-        assert_eq!(indexed, stale, "{mode:?}: indexed vs stale-mark queue");
-    }
-}
-
-/// Full 2×2 substrate matrix (transport × queue) agrees bitwise — the seed
-/// configuration (channel + stale-mark) and the new default (direct +
-/// indexed) included.
-#[test]
-fn substrate_matrix_is_bit_identical() {
-    let baseline = scenario_tuned(RecomputeMode::Incremental, EngineTune::default());
-    for handoff in [HandoffMode::Channel, HandoffMode::Direct] {
-        for queue in [EventQueueMode::StaleMark, EventQueueMode::Indexed] {
-            let r = scenario_tuned(
-                RecomputeMode::Incremental,
-                EngineTune {
-                    handoff,
-                    queue,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(baseline, r, "{handoff:?} + {queue:?}");
-        }
-    }
-}
+/// [`RunReport::fingerprint`] of the scenario, recorded under the eager
+/// timing (one solve per churn) before coalesced recomputation became the
+/// kernel's only timing.
+const EAGER_GOLDEN: u64 = 12494876373030670934;
 
 /// Coalesced recomputation — deferring the rate solve to the end of each
-/// virtual instant — must be unobservable: for every recompute mode the
-/// full report matches the eager reference bit for bit, under load
-/// injection and the mid-run host failure.
+/// virtual instant — is unobservable: under both recompute scopes the
+/// report matches the eager recording bit for bit, under load injection
+/// and the mid-run host failure.
 #[test]
 fn coalesced_matches_eager_bitwise_across_modes() {
-    for mode in [
-        RecomputeMode::Legacy,
-        RecomputeMode::Full,
-        RecomputeMode::Incremental,
-    ] {
-        let eager = scenario_tuned(
-            mode,
-            EngineTune {
-                recompute: RecomputeTiming::Eager,
-                ..Default::default()
-            },
-        );
-        let coalesced = scenario_tuned(
-            mode,
-            EngineTune {
-                recompute: RecomputeTiming::Coalesced,
-                ..Default::default()
-            },
-        );
-        assert_eq!(eager, coalesced, "{mode:?}: eager vs coalesced timing");
-    }
-}
-
-/// Coalesced timing composed with the rest of the substrate matrix
-/// (transport × queue) still reproduces the default-tune reference.
-#[test]
-fn coalesced_substrate_matrix_is_bit_identical() {
-    let baseline = scenario_tuned(RecomputeMode::Incremental, EngineTune::default());
-    for handoff in [HandoffMode::Channel, HandoffMode::Direct] {
-        for queue in [EventQueueMode::StaleMark, EventQueueMode::Indexed] {
-            let r = scenario_tuned(
-                RecomputeMode::Incremental,
-                EngineTune {
-                    handoff,
-                    queue,
-                    recompute: RecomputeTiming::Coalesced,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(baseline, r, "coalesced + {handoff:?} + {queue:?}");
-        }
+    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+        assert_eq!(scenario(mode).fingerprint(), EAGER_GOLDEN, "{mode:?}");
     }
 }
 

@@ -1,12 +1,13 @@
 //! Property-based determinism pin for coalesced rate recomputation: under
 //! randomized same-timestamp churn bursts — collective-style multi-flow
-//! send bursts, load inject/remove pairs, compute storms — deferring the
-//! rate solve to the end of each virtual instant
-//! ([`RecomputeTiming::Coalesced`]) must reproduce the eager reference bit
-//! for bit across all three recompute modes and both kernel modes. This is
-//! the property level of the three-level pin (unit: `engine::tests`,
-//! end-to-end: `tests/substrate_determinism.rs`); the route-class solver
-//! equivalence has its own pin in `prop_sharing.rs`.
+//! send bursts, load inject/remove pairs, compute storms — the kernel
+//! defers each instant's churn to one solve, and the dirty-set scoped
+//! solve ([`RecomputeMode::Incremental`]) must reproduce the
+//! scope-everything oracle ([`RecomputeMode::Full`]) bit for bit. The
+//! golden tests (`engine::tests`, `tests/determinism.rs`,
+//! `tests/substrate_determinism.rs`) pin fixed scenarios to their eager
+//! recordings; the route-class solver equivalence has its own pin in
+//! `prop_sharing.rs`.
 
 use grads_sim::engine::Engine;
 use grads_sim::prelude::*;
@@ -53,7 +54,7 @@ fn workload() -> impl Strategy<Value = Workload> {
 }
 
 /// Append a matching receive on every burst-send's target so nothing
-/// deadlocks (same sanitation idea as `prop_windowed.rs`).
+/// deadlocks.
 fn sanitize(n: u8, scripts: &[Vec<Op>]) -> Vec<Vec<Op>> {
     let mut out: Vec<Vec<Op>> = scripts.to_vec();
     let mut recvs: Vec<Vec<Op>> = vec![Vec::new(); n as usize];
@@ -72,13 +73,7 @@ fn sanitize(n: u8, scripts: &[Vec<Op>]) -> Vec<Vec<Op>> {
     out
 }
 
-fn run_workload(
-    nclusters: u8,
-    scripts: &[Vec<Op>],
-    mode: RecomputeMode,
-    kernel: KernelMode,
-    timing: RecomputeTiming,
-) -> RunReport {
+fn run_workload(nclusters: u8, scripts: &[Vec<Op>], mode: RecomputeMode) -> RunReport {
     let mut b = GridBuilder::new();
     let mut hosts = Vec::new();
     let mut cids = Vec::new();
@@ -94,11 +89,6 @@ fn run_workload(
     }
     let mut eng = Engine::new(b.build().unwrap());
     eng.set_recompute_mode(mode);
-    eng.apply_tune(EngineTune {
-        kernel,
-        recompute: timing,
-        ..Default::default()
-    });
     for (p, script) in scripts.iter().enumerate() {
         let script = script.clone();
         let hostv: Vec<HostId> = (0..scripts.len()).map(|q| hosts[q % hosts.len()]).collect();
@@ -144,35 +134,21 @@ fn run_workload(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Eager vs coalesced timing is bit-identical — trace, flops, bytes and
-    /// end time — for every recompute mode under both kernels.
+    /// Full vs Incremental scope is bit-identical — trace, flops, bytes
+    /// and end time — when same-instant churn is coalesced into one solve.
     #[test]
-    fn coalesced_timing_is_unobservable(
+    fn full_matches_incremental_on_churn_bursts(
         (nclusters, nprocs, scripts) in workload()
     ) {
         let scripts = sanitize(nprocs, &scripts);
-        for mode in [
-            RecomputeMode::Legacy,
-            RecomputeMode::Full,
-            RecomputeMode::Incremental,
-        ] {
-            for kernel in [KernelMode::Serial, KernelMode::Windowed { workers: 2 }] {
-                let eager = run_workload(
-                    nclusters, &scripts, mode, kernel, RecomputeTiming::Eager);
-                let coalesced = run_workload(
-                    nclusters, &scripts, mode, kernel, RecomputeTiming::Coalesced);
-                prop_assert_eq!(&eager.end_time, &coalesced.end_time,
-                    "{:?}/{:?}: end_time", mode, kernel);
-                prop_assert_eq!(&eager.trace, &coalesced.trace,
-                    "{:?}/{:?}: trace", mode, kernel);
-                prop_assert_eq!(&eager.host_flops, &coalesced.host_flops,
-                    "{:?}/{:?}: host_flops", mode, kernel);
-                prop_assert_eq!(&eager.link_bytes, &coalesced.link_bytes,
-                    "{:?}/{:?}: link_bytes", mode, kernel);
-                prop_assert_eq!(&eager, &coalesced, "{:?}/{:?}: full report", mode, kernel);
-            }
-        }
+        let full = run_workload(nclusters, &scripts, RecomputeMode::Full);
+        let inc = run_workload(nclusters, &scripts, RecomputeMode::Incremental);
+        prop_assert_eq!(&full.end_time, &inc.end_time, "end_time");
+        prop_assert_eq!(&full.trace, &inc.trace, "trace");
+        prop_assert_eq!(&full.host_flops, &inc.host_flops, "host_flops");
+        prop_assert_eq!(&full.link_bytes, &inc.link_bytes, "link_bytes");
+        prop_assert_eq!(&full, &inc, "full report");
     }
 }

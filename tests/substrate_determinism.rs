@@ -1,163 +1,155 @@
-//! Determinism regression for the kernel substrate fast paths.
+//! Kernel golden fingerprints.
 //!
-//! The substrate contract (see DESIGN.md) is that the direct
-//! process-handoff transport and the indexed event queue are pure
-//! performance substitutions: on the full fig3 QR-migration scenario —
-//! middleware, contract monitor, rescheduler, migration and all — every
-//! transport × queue combination must produce a bit-identical run report
-//! (end time, trace with bitwise `f64` timestamps, per-host flops,
-//! per-link bytes).
+//! The kernel solves rates once per virtual instant (coalesced
+//! recomputation). Before that became its only timing, these scenarios
+//! were recorded under the eager timing, which solved inline on every
+//! churn, and the values below are those recordings:
+//! [`RunReport::fingerprint`] digests every `f64` of a report by its bits.
+//! A change that moves any result bit of the paper's Fig. 3 runs or of the
+//! synchronized all-to-all (where coalescing absorbs the most churn) fails
+//! here. The mixed fault scenario has its own golden in
+//! `crates/sim/tests/determinism.rs`.
 
 use grads_core::prelude::*;
 use grads_core::sim::topology::macrogrid_qr;
 
-/// The fig3 QR-migration scenario at harness scale with an explicit
-/// substrate tune — same shape as `tests/obs_determinism.rs`.
-fn fig3_cfg(tune: EngineTune) -> QrExperimentConfig {
-    let mut cfg = QrExperimentConfig::paper(20000);
-    cfg.qr.n_real = 48;
-    cfg.qr.block = 4;
-    cfg.qr.poll_every = 4;
-    cfg.load_at = 60.0;
-    cfg.monitor_period = 10.0;
-    cfg.t_max = 50_000.0;
-    cfg.tune = tune;
-    cfg
+/// `(N, rescheduler mode, overhead policy)` of each Fig. 3 case: both
+/// sides of the stay/migrate crossover, under the forced-stay, modeled
+/// and 900 s worst-case policies.
+fn fig3_cases() -> Vec<(usize, ReschedulerMode, OverheadPolicy)> {
+    let mut v = Vec::new();
+    for n in [8000, 11000] {
+        v.push((n, ReschedulerMode::ForceStay, OverheadPolicy::Modeled));
+        v.push((n, ReschedulerMode::Default, OverheadPolicy::Modeled));
+        v.push((
+            n,
+            ReschedulerMode::Default,
+            OverheadPolicy::WorstCase(900.0),
+        ));
+    }
+    v
 }
 
-#[test]
-fn direct_handoff_matches_channel_on_fig3() {
-    let direct = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Direct,
-            ..Default::default()
-        }),
-    );
-    let channel = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Channel,
-            ..Default::default()
-        }),
-    );
-    assert!(direct.migrated && channel.migrated, "scenario must migrate");
-    assert_eq!(
-        direct.report.end_time.to_bits(),
-        channel.report.end_time.to_bits(),
-        "end_time must be bit-identical across transports: {} vs {}",
-        direct.report.end_time,
-        channel.report.end_time
-    );
-    assert_eq!(direct.report.trace, channel.report.trace, "trace");
-    assert_eq!(direct.report, channel.report, "full run report");
-    assert_eq!(direct.incarnations, channel.incarnations);
-    assert_eq!(direct.final_hosts, channel.final_hosts);
-}
+/// Recorded `(report fingerprint, total_time bits, incarnations)` per case
+/// of [`fig3_cases`], in order.
+const FIG3_GOLDEN: [(u64, u64, usize); 6] = [
+    (2594900127251448203, 4645972242268690798, 1),
+    (2594900127251448203, 4645972242268690798, 1),
+    (2594900127251448203, 4645972242268690798, 1),
+    (7220958834236927698, 4655886149174167132, 1),
+    (11572505974568370668, 4654884351983312448, 2),
+    (7220958834236927698, 4655886149174167132, 1),
+];
 
-#[test]
-fn indexed_queue_matches_stale_mark_on_fig3() {
-    let indexed = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            queue: EventQueueMode::Indexed,
-            ..Default::default()
-        }),
-    );
-    let stale = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        }),
-    );
-    assert!(indexed.migrated && stale.migrated, "scenario must migrate");
-    assert_eq!(
-        indexed.report.end_time.to_bits(),
-        stale.report.end_time.to_bits(),
-        "end_time must be bit-identical across event queues"
-    );
-    assert_eq!(indexed.report, stale.report, "full run report");
-}
-
-/// The seed configuration (channel transport + stale-mark queue) agrees
-/// bitwise with the new default (direct + indexed) — the strongest
-/// statement: both substrate layers swapped at once change nothing.
-#[test]
-fn seed_substrate_matches_fast_substrate_on_fig3() {
-    let fast = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    let seed = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            handoff: HandoffMode::Channel,
-            queue: EventQueueMode::StaleMark,
-            ..Default::default()
-        }),
-    );
-    assert!(fast.migrated && seed.migrated, "scenario must migrate");
-    assert_eq!(fast.report, seed.report, "full run report");
-    assert_eq!(fast.breakdown, seed.breakdown, "phase breakdown");
-}
-
-/// Coalesced rate recomputation on the full fig3 QR-migration scenario:
-/// deferring the solve to the end of each virtual instant must be
-/// unobservable end to end — middleware, contract monitor, rescheduler and
-/// migration included. This is the end-to-end level of the coalescing
-/// determinism pin (unit: `engine::tests`, property:
-/// `crates/sim/tests/prop_coalesced.rs`).
+/// The Fig. 3 runs reproduce the reports recorded under eager recompute,
+/// bit for bit: middleware, contract monitor, rescheduler and migration
+/// included.
 #[test]
 fn coalesced_recompute_matches_eager_on_fig3() {
-    let eager = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    let coalesced = run_qr_experiment(
-        macrogrid_qr(),
-        fig3_cfg(EngineTune {
-            recompute: RecomputeTiming::Coalesced,
-            ..Default::default()
-        }),
-    );
-    assert!(
-        eager.migrated && coalesced.migrated,
-        "scenario must migrate"
-    );
-    assert_eq!(
-        eager.report.end_time.to_bits(),
-        coalesced.report.end_time.to_bits(),
-        "end_time must be bit-identical across recompute timing"
-    );
-    assert_eq!(eager.report, coalesced.report, "full run report");
-    assert_eq!(eager.incarnations, coalesced.incarnations);
-    assert_eq!(eager.final_hosts, coalesced.final_hosts);
+    let got: Vec<(u64, u64, usize)> = fig3_cases()
+        .into_iter()
+        .map(|(n, mode, overhead)| {
+            let mut cfg = QrExperimentConfig::paper(n);
+            cfg.mode = mode;
+            cfg.overhead = overhead;
+            let r = run_qr_experiment(macrogrid_qr(), cfg);
+            (
+                r.report.fingerprint(),
+                r.total_time.to_bits(),
+                r.incarnations,
+            )
+        })
+        .collect();
+    assert_eq!(got, FIG3_GOLDEN, "fig3 reports moved");
+    // The set covers a migration and the worst-case policy's wrong stay.
+    assert_eq!(got[4].2, 2, "N = 11000 modeled must migrate");
+    assert_eq!(got[5].2, 1, "N = 11000 worst-case must stay");
 }
 
-/// The windowed (conservative parallel) kernel on the full fig3
-/// QR-migration scenario: the multi-cluster MacroGrid gives real WAN
-/// lookahead, and the run report must be bit-identical to the serial
-/// kernel at every worker count — the end-to-end level of the
-/// determinism pin (unit: `engine::tests`, property:
-/// `crates/sim/tests/prop_windowed.rs`).
+const CLUSTERS: usize = 4;
+const HOSTS_PER_CLUSTER: usize = 16;
+const NPROC: usize = CLUSTERS * HOSTS_PER_CLUSTER;
+
+/// `kernel_scale`'s WAN mesh: 4 clusters × 16 dual-core hosts, every
+/// cluster pair joined by its own link.
+fn mesh() -> (Grid, Vec<HostId>) {
+    let mut b = GridBuilder::new();
+    let mut cl = Vec::new();
+    let mut hosts = Vec::new();
+    for c in 0..CLUSTERS {
+        let id = b.cluster(&format!("C{c}"));
+        b.local_link(id, 1.0e9, 50e-6);
+        let spec = HostSpec {
+            speed: 1.0e9,
+            cores: 2,
+            ..Default::default()
+        };
+        hosts.extend(b.add_hosts(id, HOSTS_PER_CLUSTER, &spec));
+        cl.push(id);
+    }
+    let mut k = 0u32;
+    for i in 0..CLUSTERS {
+        for j in (i + 1)..CLUSTERS {
+            b.connect(
+                cl[i],
+                cl[j],
+                5.0e7 + 1.0e7 * k as f64,
+                5e-3 + 3e-3 * k as f64,
+            );
+            k += 1;
+        }
+    }
+    (b.build().expect("valid grid"), hosts)
+}
+
+/// One round of `kernel_scale`'s 64-rank all-to-all: compute, eager sends
+/// to every peer, then receives interleaved with compute. `uniform` gives
+/// every transfer the same size (bitwise-synchronized completion waves);
+/// otherwise sizes are skewed per pair and every transfer finishes at its
+/// own instant.
+fn alltoall(mode: RecomputeMode, uniform: bool) -> RunReport {
+    let (grid, hosts) = mesh();
+    let mut eng = Engine::new(grid);
+    eng.set_recompute_mode(mode);
+    for i in 0..NPROC {
+        let peers = hosts.clone();
+        eng.spawn(&format!("p{i}"), hosts[i], move |ctx| {
+            ctx.compute(1.0e6);
+            for (j, &peer) in peers.iter().enumerate() {
+                if j != i {
+                    let bytes = if uniform {
+                        1.0e5
+                    } else {
+                        1.0e5 + (i * NPROC + j) as f64
+                    };
+                    ctx.isend(mail_key(&[i as u64, j as u64]), peer, bytes, Box::new(()));
+                }
+            }
+            for j in 0..NPROC {
+                if j != i {
+                    let _ = ctx.recv(mail_key(&[j as u64, i as u64]));
+                    ctx.compute(2.5e5);
+                }
+            }
+        });
+    }
+    let r = eng.run();
+    assert_eq!(r.completed.len(), NPROC, "{mode:?}: every rank completes");
+    r
+}
+
+/// Recorded fingerprints of [`alltoall`]: `(uniform, skewed)`.
+const ALLTOALL_GOLDEN: (u64, u64) = (36328915549116815, 6963523660620118332);
+
+/// The all-to-all reproduces the eager recordings under both recompute
+/// scopes, on both payload shapes.
 #[test]
-fn windowed_kernel_matches_serial_on_fig3() {
-    let serial = run_qr_experiment(macrogrid_qr(), fig3_cfg(EngineTune::default()));
-    assert!(serial.migrated, "scenario must migrate");
-    for workers in [1, 4] {
-        let windowed = run_qr_experiment(
-            macrogrid_qr(),
-            fig3_cfg(EngineTune {
-                kernel: KernelMode::Windowed { workers },
-                ..Default::default()
-            }),
+fn coalesced_recompute_matches_eager_on_alltoall() {
+    for mode in [RecomputeMode::Full, RecomputeMode::Incremental] {
+        let got = (
+            alltoall(mode, true).fingerprint(),
+            alltoall(mode, false).fingerprint(),
         );
-        assert!(windowed.migrated, "windowed run must migrate too");
-        assert_eq!(
-            serial.report.end_time.to_bits(),
-            windowed.report.end_time.to_bits(),
-            "end_time must be bit-identical at {workers} workers"
-        );
-        assert_eq!(
-            serial.report, windowed.report,
-            "full run report at {workers} workers"
-        );
-        assert_eq!(serial.incarnations, windowed.incarnations);
-        assert_eq!(serial.final_hosts, windowed.final_hosts);
+        assert_eq!(got, ALLTOALL_GOLDEN, "{mode:?}: all-to-all reports moved");
     }
 }
